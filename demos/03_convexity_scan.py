@@ -1,13 +1,15 @@
-"""Measure how the convexity region grows with the index lam.
+"""Measure whether the convexity region grows with the index lam.
 
-At each sampled point in weight space the finite-difference Hessian of the
-exponential criterion is eigendecomposed (classical Jacobi sweeps) and
-tested for positive semidefiniteness; psd_fraction is the share of points
+At each sampled point in weight space one finite-difference pass gives the
+Hessians of the plain mean loss and of the exponential criterion at every
+lam; each is divided by its largest entry, eigendecomposed with LAPACK and
+tested for positive semidefiniteness.  psd_fraction is the share of points
 whose Hessian is PSD.  Two problems:
 
   * a 1-3-1 tanh regressor on a scaled sine, where the plain squared error
-    is nowhere convex over the sampled box but the tilted criterion's
-    region expands as lam grows;
+    is nowhere convex over the sampled box; the tilted criterion is nowhere
+    convex there either, at any lam swept (a negative result: the region
+    does not grow on this problem);
   * logistic regression, convex to begin with, where the region is the
     whole box at every lam and containment of the base criterion's PSD set
     is non-vacuous.
@@ -20,23 +22,23 @@ import numpy as np
 from convexlab import SampleBatch, scan_convexity, synthetic_regression
 from convexlab.network import init_model
 
-# scaled sine: larger targets mean larger per-sample losses, which pulls
-# the PSD flip of each point down into the small-lam range we can sweep
+# scaled sine: larger targets mean larger per-sample losses, so the tilt
+# lam * c is strong already at small lam
 base = synthetic_regression("sine", 20, 0.0, seed=0)
 dataset = SampleBatch(base.inputs, 6.0 * base.targets)
 template = init_model([1, 3, 1], "tanh", "identity-squared", seed=0)
 
 scan = scan_convexity(template, dataset, [1, 2, 4, 8], num_points=60, box_radius=1.0, seed=0)
 print("1-3-1 tanh on scaled sine, 60 points, box radius 1.0")
-print(f"{'lam':>6} {'psd_fraction':>14} {'log-domain fallbacks':>22}")
-for lam, frac, nrae_count in zip(scan.lambdas, scan.psd_fraction, scan.used_nrae.sum(axis=1)):
-    print(f"{lam:6g} {frac:14.3f} {int(nrae_count):22d}")
+print(f"{'lam':>6} {'psd_fraction':>14} {'past EXP_CAP (shifted)':>24}")
+for lam, frac, shifted in zip(scan.lambdas, scan.psd_fraction, scan.used_nrae.sum(axis=1)):
+    print(f"{lam:6g} {frac:14.3f} {int(shifted):24d}")
 print(f"base-criterion PSD points: {int(scan.ce_psd.sum())} of 60")
 print(f"containment violations per lam: {[int(v) for v in scan.comparison_violations()]}\n")
 
-# the least-negative eigenvalue trend tells the same story point by point:
+# the least-negative eigenvalues, point by point:
 idx = np.argsort(scan.min_eigs[-1])[::-1][:5]
-print("five points closest to (or inside) the PSD region at lam=8:")
+print("five points closest to the PSD region at lam=8:")
 for j in idx:
     trail = " ".join(f"{scan.min_eigs[i, j]:+9.2e}" for i in range(len(scan.lambdas)))
     print(f"  point {j:3d}: min eig per lam  {trail}")

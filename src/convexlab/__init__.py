@@ -2,8 +2,8 @@
 
 Convexifies the per-sample training loss through an exponential tilt with
 index lam**p, stabilizes it in the log domain, learns lam jointly with the
-weights, and measures the resulting growth of the positive-semidefinite
-region of the Hessian on desk-scale models.
+weights, and measures whether the positive-semidefinite region of the
+Hessian grows with lam on desk-scale models.
 """
 
 from .criteria import (
@@ -23,12 +23,9 @@ from .criteria import (
     sample_weights,
 )
 from .convexity import (
-    HessianReport,
     RegionScan,
     fd_hessian,
-    hessian_report,
-    jacobi_eigenvalues,
-    jacobi_eigh,
+    min_eigenvalues,
     scan_convexity,
 )
 from .data import (

@@ -64,15 +64,6 @@ def _ints(text):
     return tuple(int(tok) for tok in str(text).replace(",", " ").split())
 
 
-def _bool(text):
-    t = str(text).strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 _REQUIRED = object()
 
 # key -> (default, parser, help); _REQUIRED keys must come from the config
@@ -126,9 +117,8 @@ KEY_SPECS = {
     "box_radius": (1.0, float, "half-width of the sampling box"),
     "scan_samples": (20, int, "size of the scan's fixed synthetic dataset"),
     "target_scale": (6.0, float, "target amplitude of the scan dataset (scales the losses "
-                                 "so region growth is visible at small lam)"),
+                                 "so the tilt is strong already at small lam)"),
     "scan_h": (1e-4, float, "Hessian finite-difference step"),
-    "nrae_fallback": (True, _bool, "fall back to the log-domain criterion when the raw one overflows"),
     "preset": ("", str, "scan preset: '' | logistic"),
     # eval
     "model": ("", str, "path of a serialized model file"),
@@ -406,7 +396,6 @@ def cmd_scan(args) -> int:
         seed=cfg.get("seed"),
         p=cfg.get("p"),
         h=cfg.get("scan_h"),
-        nrae_fallback=cfg.get("nrae_fallback"),
     )
     detail = _out_path(cfg, ".scan.csv")
     summary = _out_path(cfg, ".scan_summary.csv")

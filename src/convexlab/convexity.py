@@ -1,12 +1,12 @@
 """Empirical convexity-region measurement for tiny models: central
-finite-difference Hessians over the flat parameter vector, a classical
-Jacobi eigensolver, and lam-sweep scans of the positive-semidefinite
-fraction over sampled points in weight space.
+finite-difference Hessians over the flat parameter vector, a max-abs-rescaled
+LAPACK eigensolve, and lam-sweep scans of the positive-semidefinite fraction
+over sampled points in weight space.
 
 Scans are restricted to smooth activations (tanh, sigmoid): relu kinks sit
-on measure-zero sets that finite differences straddle.  Every (point, lam)
-Hessian evaluation is independent of the others; the scan assembles results
-single-threaded.
+on measure-zero sets that finite differences straddle.  Each point's
+Hessians (base criterion and every lam) come from one FD pass, independent
+of the other points; the scan assembles results single-threaded.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import EXP_CAP, NumericDomainError, OverflowRiskError
+from .criteria import EXP_CAP, NumericDomainError
 from .network import MlpModel, batch_losses, forward, unflatten
 from .seeds import rng_for
 
@@ -25,26 +25,39 @@ DEFAULT_FD_STEP = 1e-4
 SMOOTH_ACTIVATIONS = ("tanh", "sigmoid")
 
 
-def psd_tolerance(hessian) -> float:
+def psd_tolerance(hessian):
     """Eigenvalue slack scaled by the Hessian's diagonal magnitude (raw
-    eigenvalues grow with lam**p, so a fixed tolerance would be meaningless)."""
+    eigenvalues grow with lam**p, so a fixed tolerance would be meaningless).
+    A float for one (n, n) matrix, an array for a (K, n, n) stack."""
     h = np.asarray(hessian)
-    return 1e-6 * (1.0 + float(np.abs(np.diag(h)).max()))
+    return 1e-6 * (1.0 + np.abs(np.diagonal(h, axis1=-2, axis2=-1)).max(axis=-1))
 
 
-@dataclass
-class HessianReport:
-    lam: float
-    point: np.ndarray
-    min_eigenvalue: float
-    psd: bool
+def min_eigenvalues(hessians):
+    """Smallest eigenvalue of each symmetric matrix in a (..., n, n) stack.
+
+    Each matrix is divided by its max-abs entry before the LAPACK eigensolve
+    and the result scaled back, so entries near the float64 limit (a raw
+    criterion's Hessian carries exp(lam**p * c), up to exp(EXP_CAP) = 1.4e217)
+    cannot overflow inside the solver.  An all-zero matrix gives 0.
+    """
+    h = np.asarray(hessians, dtype=float)
+    scale = np.abs(h).max(axis=(-2, -1))
+    scale = np.where(scale > 0.0, scale, 1.0)
+    return np.linalg.eigvalsh(h / scale[..., None, None])[..., 0] * scale
 
 
 @dataclass
 class RegionScan:
     """Results of one lam-sweep over a fixed point set.  min_eigs and psd
     are (num_lambdas, num_points); the base-criterion (plain mean loss)
-    results for the same points sit in ce_min_eigs / ce_psd."""
+    results for the same points sit in ce_min_eigs / ce_psd.
+
+    used_nrae[i, j] is true where the raw criterion at lam_i would pass
+    EXP_CAP at point j (lam_i**p * max(c) > EXP_CAP), so the Hessian was
+    taken of exp(-shift) times the raw criterion: the same PSD verdict and
+    eigenvalues scaled by that positive constant.
+    """
 
     lambdas: tuple
     points: np.ndarray
@@ -62,17 +75,20 @@ class RegionScan:
 
 
 def _probe(objective, x):
-    val = float(objective(x))
-    if not np.isfinite(val):
+    val = np.asarray(objective(x), dtype=float)
+    if not np.all(np.isfinite(val)):
         raise NumericDomainError(f"objective returned {val} at probe point {x!r}")
     return val
 
 
 def fd_hessian(objective, point, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central second differences of a scalar objective, symmetrized.
+    """Central second differences of an objective, symmetrized.
 
-    Per-coordinate steps h_i = h * (1 + |x_i|) balance curvature against
-    round-off.  Any non-finite objective value aborts with the probe point.
+    The objective returns a scalar, giving an (n, n) Hessian, or a vector of
+    K values, giving the (K, n, n) stack of their Hessians from one pass of
+    probes.  Per-coordinate steps h_i = h * (1 + |x_i|) balance curvature
+    against round-off.  Any non-finite objective value aborts with the probe
+    point.
     """
     x = np.asarray(point, dtype=float)
     n = x.size
@@ -81,14 +97,14 @@ def fd_hessian(objective, point, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     if h <= 0:
         raise ValueError("h must be positive")
     steps = h * (1.0 + np.abs(x))
-    hess = np.empty((n, n))
     f0 = _probe(objective, x)
+    hess = np.empty(f0.shape + (n, n))
     for i in range(n):
         ei = np.zeros(n)
         ei[i] = steps[i]
         fpp = _probe(objective, x + 2.0 * ei)
         fmm = _probe(objective, x - 2.0 * ei)
-        hess[i, i] = (fpp - 2.0 * f0 + fmm) / (4.0 * steps[i] ** 2)
+        hess[..., i, i] = (fpp - 2.0 * f0 + fmm) / (4.0 * steps[i] ** 2)
         for j in range(i + 1, n):
             ej = np.zeros(n)
             ej[j] = steps[j]
@@ -96,72 +112,8 @@ def fd_hessian(objective, point, h: float = DEFAULT_FD_STEP) -> np.ndarray:
             fpm = _probe(objective, x + ei - ej)
             fmp = _probe(objective, x - ei + ej)
             fmq = _probe(objective, x - ei - ej)
-            hess[i, j] = hess[j, i] = (fpq - fpm - fmp + fmq) / (4.0 * steps[i] * steps[j])
-    return 0.5 * (hess + hess.T)
-
-
-def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 100) -> tuple:
-    """Classical cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns in the same order).
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    tol * ||H||_F.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    amax = float(np.abs(a).max()) if a.size else 0.0
-    defect = float(np.abs(a - a.T).max())
-    if defect > 1e-8 * max(amax, 1e-300):
-        raise ValueError(f"matrix is not symmetric (defect {defect:.3g} vs scale {amax:.3g})")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0 or n == 1:
-        order = np.argsort(np.diag(a))
-        return np.diag(a)[order].copy(), v[:, order]
-
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= tol * norm:
-            order = np.argsort(np.diag(a))
-            return np.diag(a)[order].copy(), v[:, order]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0)) if theta != 0.0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # A <- J^T A J, J the (p,q) plane rotation
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    raise ArithmeticError(f"Jacobi sweep did not converge within {max_sweeps} sweeps")
-
-
-def jacobi_eigenvalues(matrix, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending."""
-    vals, _ = jacobi_eigh(matrix, tol=tol, max_sweeps=max_sweeps)
-    return vals
-
-
-def hessian_report(objective, point, lam: float, h: float = DEFAULT_FD_STEP) -> HessianReport:
-    """FD Hessian at one point, reduced to its minimum eigenvalue and a PSD
-    flag under the diagonal-scaled tolerance."""
-    hess = fd_hessian(objective, point, h)
-    min_eig = float(jacobi_eigenvalues(hess)[0])
-    return HessianReport(lam, np.asarray(point, dtype=float), min_eig, min_eig >= -psd_tolerance(hess))
+            hess[..., i, j] = hess[..., j, i] = (fpq - fpm - fmp + fmq) / (4.0 * steps[i] * steps[j])
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
 def _losses_at(template: MlpModel, dataset, vec) -> np.ndarray:
@@ -172,11 +124,18 @@ def _losses_at(template: MlpModel, dataset, vec) -> np.ndarray:
 
 def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
                    box_radius: float, seed: int, p: int = 1,
-                   h: float = DEFAULT_FD_STEP, nrae_fallback: bool = True) -> RegionScan:
+                   h: float = DEFAULT_FD_STEP) -> RegionScan:
     """Sample parameter vectors uniformly from [-box_radius, box_radius]^n
     and record, for every lam, the minimum Hessian eigenvalue of the raw
-    exponential criterion (its log-domain form when the raw one would
-    overflow) plus the plain mean-loss Hessian for the same points.
+    exponential criterion mean(exp(lam**p * c)) plus the plain mean-loss
+    Hessian for the same points.
+
+    One FD pass per point yields every Hessian: each probe computes the
+    per-sample losses c once and returns [mean(c), mean(exp(s_k*c - shift_k))
+    for each lam_k], with s_k = lam_k**p and shift_k = max(0, s_k*max(c) -
+    EXP_CAP) fixed at the point's centre.  Dividing by exp(shift_k) leaves
+    the PSD verdict unchanged and keeps every probe finite; where shift_k is
+    0 the Hessian is exactly the raw criterion's.
     """
     n = model_template.param_count
     if n > MAX_SCAN_PARAMS:
@@ -194,53 +153,33 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
         raise ValueError("num_points must be >= 1")
 
     points = rng_for(seed, "scan").uniform(-box_radius, box_radius, size=(num_points, n))
-    L = len(lam_list)
-    min_eigs = np.empty((L, num_points))
-    psd = np.zeros((L, num_points), dtype=bool)
-    used_nrae = np.zeros((L, num_points), dtype=bool)
-    ce_min_eigs = np.empty(num_points)
-    ce_psd = np.zeros(num_points, dtype=bool)
+    scales = np.array([lam ** p for lam in lam_list])
+    # rows: the base criterion, then one per lam
+    min_eigs = np.empty((len(lam_list) + 1, num_points))
+    psd = np.zeros((len(lam_list) + 1, num_points), dtype=bool)
+    used_nrae = np.zeros((len(lam_list), num_points), dtype=bool)
 
-    def ce_objective(vec):
-        return float(np.mean(_losses_at(model_template, dataset, vec)))
+    for j, x in enumerate(points):
+        shifts = np.maximum(0.0, scales * float(_losses_at(model_template, dataset, x).max()) - EXP_CAP)
 
-    for j in range(num_points):
-        x = points[j]
-        rep = hessian_report(ce_objective, x, lam=0.0, h=h)
-        ce_min_eigs[j] = rep.min_eigenvalue
-        ce_psd[j] = rep.psd
-        c_center = _losses_at(model_template, dataset, x)
-        for i, lam in enumerate(lam_list):
-            s = lam ** p
-            feasible = s * float(c_center.max()) <= EXP_CAP
-            if not feasible and not nrae_fallback:
-                raise OverflowRiskError(
-                    f"lam={lam}, point {j}: raw criterion infeasible and fallback disabled"
-                )
-            if feasible:
-                def objective(vec, _s=s):
-                    return float(np.mean(np.exp(_s * _losses_at(model_template, dataset, vec))))
-            else:
-                used_nrae[i, j] = True
+        def objective(vec, _shifts=shifts[:, None]):
+            c = _losses_at(model_template, dataset, vec)
+            tilted = np.mean(np.exp(scales[:, None] * c - _shifts), axis=1)
+            return np.concatenate(([np.mean(c)], tilted))
 
-                def objective(vec, _s=s):
-                    c = _losses_at(model_template, dataset, vec)
-                    z = _s * c
-                    zmax = z.max()
-                    return float((zmax + np.log(np.mean(np.exp(z - zmax)))) / _s)
-
-            rep = hessian_report(objective, x, lam=lam, h=h)
-            min_eigs[i, j] = rep.min_eigenvalue
-            psd[i, j] = rep.psd
+        hess = fd_hessian(objective, x, h)
+        min_eigs[:, j] = min_eigenvalues(hess)
+        psd[:, j] = min_eigs[:, j] >= -psd_tolerance(hess)
+        used_nrae[:, j] = shifts > 0.0
 
     return RegionScan(
         lambdas=tuple(lam_list),
         points=points,
-        min_eigs=min_eigs,
-        psd=psd,
-        psd_fraction=psd.mean(axis=1),
-        ce_min_eigs=ce_min_eigs,
-        ce_psd=ce_psd,
+        min_eigs=min_eigs[1:],
+        psd=psd[1:],
+        psd_fraction=psd[1:].mean(axis=1),
+        ce_min_eigs=min_eigs[0],
+        ce_psd=psd[0],
         used_nrae=used_nrae,
     )
 

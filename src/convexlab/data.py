@@ -34,6 +34,9 @@ MNIST_FILES = (
 )
 
 DEFAULT_MNIST_URL = "https://ossci-datasets.s3.amazonaws.com/mnist/"
+# seconds any one connect or read of a download may block before it fails
+# as a TransportError, so an unreachable route cannot hang a fetch
+FETCH_TIMEOUT_S = 30.0
 
 DATA_DIR_ENV = "CONVEXLAB_DATA_DIR"
 
@@ -173,7 +176,7 @@ def fetch_mnist(base_url: str = DEFAULT_MNIST_URL, dest_dir: str = "data") -> li
             continue
         url = base_url + name + ".gz"
         try:
-            with urllib.request.urlopen(url) as resp:
+            with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
                 payload = resp.read()
         except urllib.error.HTTPError as exc:
             raise TransportError(f"GET {url} failed with HTTP {exc.code}") from exc

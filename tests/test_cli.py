@@ -69,7 +69,7 @@ class TestConfigParsing:
         path = tmp_path / "resolved.cfg"
         path.write_text(text)
         cfg2 = RunConfig(parse_config_file(path), {})
-        for key in ("seed", "strategy", "lambdas", "learning_rate", "nrae_fallback"):
+        for key in ("seed", "strategy", "lambdas", "learning_rate", "net"):
             assert cfg.get(key) == cfg2.get(key)
 
 

@@ -3,12 +3,11 @@ import os
 import numpy as np
 import pytest
 
-from convexlab.criteria import NumericDomainError, OverflowRiskError
+import convexlab.convexity as convexity
+from convexlab.criteria import NumericDomainError
 from convexlab.convexity import (
     fd_hessian,
-    hessian_report,
-    jacobi_eigenvalues,
-    jacobi_eigh,
+    min_eigenvalues,
     psd_tolerance,
     scan_convexity,
     write_scan_csvs,
@@ -38,6 +37,10 @@ class TestFdHessian:
         A = 0.5 * (A + A.T)
         H = fd_hessian(lambda x: float(x @ A @ x), rng.normal(size=3))
         assert np.abs(H - 2 * A).max() < 1e-4
+        # a vector objective gives the stack of its components' Hessians
+        stack = fd_hessian(lambda x: np.array([x @ A @ x, -2.0 * (x @ A @ x)]), rng.normal(size=3))
+        assert stack.shape == (2, 3, 3)
+        assert np.abs(stack - np.array([2 * A, -4 * A])).max() < 1e-4
 
     def test_linear_zero_hessian(self):
         H = fd_hessian(lambda x: float(np.sum(x)), np.ones(4))
@@ -85,46 +88,6 @@ class TestFdHessian:
             fd_hessian(lambda x: 0.0, np.zeros(201))
 
 
-class TestJacobi:
-    def test_diagonal(self):
-        assert jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0])) == pytest.approx([1.0, 2.0, 3.0])
-
-    def test_two_by_two_hand_value(self):
-        # characteristic polynomial of [[2,1],[1,2]]: (2-x)^2 - 1 -> {1, 3}
-        assert jacobi_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx([1.0, 3.0])
-
-    def test_identity(self):
-        assert jacobi_eigenvalues(np.eye(5)) == pytest.approx([1.0] * 5)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            n = int(rng.integers(2, 21))
-            A = rng.normal(size=(n, n))
-            A = 0.5 * (A + A.T)
-            vals, vecs = jacobi_eigh(A)
-            assert np.all(np.diff(vals) >= -1e-12)
-            err = np.linalg.norm(A @ vecs - vecs * vals[None, :])
-            assert err <= 1e-8 * np.linalg.norm(A)
-
-    def test_against_numpy(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            n = int(rng.integers(2, 15))
-            A = rng.normal(size=(n, n))
-            A = 0.5 * (A + A.T)
-            ours = jacobi_eigenvalues(A)
-            ref = np.linalg.eigvalsh(A)
-            assert np.abs(ours - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
-
-    def test_zero_matrix(self):
-        assert jacobi_eigenvalues(np.zeros((3, 3))) == pytest.approx([0.0, 0.0, 0.0])
-
-
 class TestScan:
     def test_logistic_regression_fully_convex(self):
         template, ds = logistic_problem()
@@ -148,16 +111,44 @@ class TestScan:
         assert np.all(np.diff(scan.psd_fraction) >= -0.02)
 
     def test_fallback_bookkeeping(self):
-        # large targets force the log-domain fallback at the top lam
+        # large targets push the raw criterion past EXP_CAP at the top lam,
+        # so those points take the Hessian of the shifted form
         template, ds = scaled_sine_problem(target_scale=10.0)
         scan = scan_convexity(template, ds, [1, 8], num_points=10, box_radius=1.0, seed=2)
         assert scan.used_nrae.sum() > 0
+        assert not scan.used_nrae[0].any()
+        assert np.all(np.isfinite(scan.min_eigs))
 
-    def test_fallback_disabled_raises(self):
-        template, ds = scaled_sine_problem(target_scale=10.0)
-        with pytest.raises(OverflowRiskError):
-            scan_convexity(template, ds, [1, 8], num_points=10, box_radius=1.0, seed=2,
-                           nrae_fallback=False)
+    def test_one_fd_pass_per_point_matches_raw_hessians(self, monkeypatch):
+        template, ds = scaled_sine_problem()
+        lambdas = [1.0, 2.0, 4.0, 8.0]
+        stacks = []
+
+        def recording(objective, point, h):
+            hess = fd_hessian(objective, point, h)
+            stacks.append((point.copy(), hess))
+            return hess
+
+        monkeypatch.setattr(convexity, "fd_hessian", recording)
+        scan = scan_convexity(template, ds, lambdas, num_points=3, box_radius=1.0, seed=0)
+        assert len(stacks) == 3
+
+        def losses(vec):
+            model = unflatten(template, vec)
+            return batch_losses(forward(model, ds.inputs).outputs, ds.targets, model.output_mode)
+
+        compared = 0
+        for j, (x, stack) in enumerate(stacks):
+            assert stack.shape == (len(lambdas) + 1, template.param_count, template.param_count)
+            assert np.array_equal(stack[0], fd_hessian(lambda v: float(np.mean(losses(v))), x))
+            for k, lam in enumerate(lambdas):
+                if scan.used_nrae[k, j]:
+                    continue
+                raw = fd_hessian(lambda v: float(np.mean(np.exp(lam * losses(v)))), x)
+                assert np.array_equal(stack[k + 1], raw)
+                compared += 1
+            assert np.array_equal(scan.min_eigs[:, j], min_eigenvalues(stack[1:]))
+        assert compared > 0
 
     def test_rejects_bad_arguments(self):
         template, ds = scaled_sine_problem()
@@ -182,17 +173,42 @@ class TestScan:
         assert np.array_equal(s1.min_eigs, s2.min_eigs)
 
 
+class TestMinEigenvalues:
+    def test_overflow_scale_indefinite(self):
+        # a raw-criterion-sized Hessian: its Frobenius norm overflows float64,
+        # the diagonal is positive, and the true minimum eigenvalue is
+        # 1.4e204 - 1.42e204 = -2e202
+        H = np.array([[1.4e204, 1.42e204], [1.42e204, 1.4e204]])
+        min_eig = min_eigenvalues(H)
+        assert min_eig == pytest.approx(-2e202, rel=1e-9)
+        assert not min_eig >= -psd_tolerance(H)
+
+    def test_stack_and_zero_matrix(self):
+        rng = np.random.default_rng(10)
+        A = rng.normal(size=(3, 4, 4))
+        stack = np.concatenate([A + np.swapaxes(A, 1, 2), np.zeros((1, 4, 4))])
+        mins = min_eigenvalues(stack)
+        assert mins.shape == (4,)
+        assert mins[3] == 0.0
+        for k in range(3):
+            assert mins[k] == pytest.approx(np.linalg.eigvalsh(stack[k])[0], rel=1e-12)
+
+
 class TestHessianReport:
+    """PSD verdicts of FD Hessians through min_eigenvalues and psd_tolerance."""
+
     def test_psd_flag_consistent(self):
         rng = np.random.default_rng(9)
         A = rng.normal(size=(4, 4))
         A = A @ A.T + 0.1 * np.eye(4)  # positive definite
-        rep = hessian_report(lambda x: float(x @ A @ x), rng.normal(size=4), lam=1.0)
-        assert rep.psd
-        assert rep.min_eigenvalue >= -psd_tolerance(2 * A)
+        H = fd_hessian(lambda x: float(x @ A @ x), rng.normal(size=4))
+        min_eig = min_eigenvalues(H)
+        assert min_eig >= -psd_tolerance(H)
+        assert min_eig >= -psd_tolerance(2 * A)
 
     def test_indefinite_detected(self):
         D = np.diag([1.0, -1.0])
-        rep = hessian_report(lambda x: float(x @ D @ x), np.zeros(2), lam=1.0)
-        assert not rep.psd
-        assert rep.min_eigenvalue == pytest.approx(-2.0, abs=1e-4)
+        H = fd_hessian(lambda x: float(x @ D @ x), np.zeros(2))
+        min_eig = min_eigenvalues(H)
+        assert not min_eig >= -psd_tolerance(H)
+        assert min_eig == pytest.approx(-2.0, abs=1e-4)

@@ -1,10 +1,13 @@
 import gzip
+import math
 import os
+import urllib.request
 
 import numpy as np
 import pytest
 
 from convexlab.data import (
+    FETCH_TIMEOUT_S,
     IdxFormatError,
     MNIST_FILES,
     SampleBatch,
@@ -123,6 +126,19 @@ class TestFetch:
         with pytest.raises(TransportError, match="train-images"):
             fetch_mnist(url, dest)
         assert not os.listdir(dest)
+
+    def test_timeout_bounded_and_reported(self, tmp_path, monkeypatch):
+        seen = []
+
+        def black_hole(url, timeout=None):
+            seen.append(timeout)
+            raise TimeoutError("timed out")
+
+        monkeypatch.setattr(urllib.request, "urlopen", black_hole)
+        with pytest.raises(TransportError, match="timed out"):
+            fetch_mnist("https://example.invalid/mnist/", tmp_path / "data")
+        assert seen == [FETCH_TIMEOUT_S]
+        assert math.isfinite(seen[0]) and seen[0] > 0
 
     def test_integrity_error_on_bad_magic(self, tmp_path):
         url = self._stage_remote(tmp_path, corrupt=MNIST_FILES[1])
