@@ -5,7 +5,8 @@ settings:
 
   * the criterion gradient with respect to every weight, computed as one
     weighted backward pass, against central differences of the composed
-    scalar objective;
+    objective, evaluated on stacks of probe vectors (one forward pass per
+    block of coordinates);
   * the exact lam-derivative of the adaptive loss against an extended-
     precision central difference.
 
@@ -14,7 +15,7 @@ The same sweep runs as `convexlab gradcheck` from the command line.
 
 import numpy as np
 
-from convexlab import CriterionParams, run_gradcheck, sample_weights
+from convexlab import CriterionParams, nrae, run_gradcheck, sample_weights
 from convexlab.data import SampleBatch
 from convexlab.gradcheck import fd_gradient
 from convexlab.network import batch_losses, flatten, forward, init_model, unflatten, weighted_backward
@@ -29,10 +30,10 @@ losses = batch_losses(forward(model, batch.inputs).outputs, batch.targets, "soft
 analytic = weighted_backward(model, batch, sample_weights(losses, params)).flat_grad
 
 
-def objective(vec):
-    m = unflatten(model, vec)
+def objective(stack):
+    # a (K, n) stack of parameter vectors in, K criterion values out
+    m = unflatten(model, stack)
     c = batch_losses(forward(m, batch.inputs).outputs, batch.targets, "softmax-ce")
-    from convexlab import nrae
     return nrae(c, params)
 
 

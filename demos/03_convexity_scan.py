@@ -36,12 +36,14 @@ for lam, frac, shifted in zip(scan.lambdas, scan.psd_fraction, scan.used_nrae.su
 print(f"base-criterion PSD points: {int(scan.ce_psd.sum())} of 60")
 print(f"containment violations per lam: {[int(v) for v in scan.comparison_violations()]}\n")
 
-# the least-negative eigenvalues, point by point:
-idx = np.argsort(scan.min_eigs[-1])[::-1][:5]
-print("five points closest to the PSD region at lam=8:")
+# distance from the PSD region in units of each verdict's tolerance: raw
+# eigenvalues grow like exp(lam * max c), so they do not compare across points
+closeness = scan.min_eigs / scan.psd_tol
+idx = np.argsort(closeness[-1])[::-1][:5]
+print("five points closest to the PSD region at lam=8 (min eig / PSD tolerance):")
 for j in idx:
-    trail = " ".join(f"{scan.min_eigs[i, j]:+9.2e}" for i in range(len(scan.lambdas)))
-    print(f"  point {j:3d}: min eig per lam  {trail}")
+    trail = " ".join(f"{closeness[i, j]:+9.2e}" for i in range(len(scan.lambdas)))
+    print(f"  point {j:3d}: per lam  {trail}")
 
 print("\nlogistic regression (convex base loss): every point PSD at every lam")
 x = np.linspace(-2, 2, 20)

@@ -18,7 +18,6 @@ from .criteria import (
     approx_grad_lambda,
     evaluate_criterion,
     nrae,
-    per_sample_loss,
     rae,
     sample_weights,
 )

@@ -57,6 +57,11 @@ class RegionScan:
     EXP_CAP at point j (lam_i**p * max(c) > EXP_CAP), so the Hessian was
     taken of exp(-shift) times the raw criterion: the same PSD verdict and
     eigenvalues scaled by that positive constant.
+
+    psd_tol and ce_psd_tol hold the `psd_tolerance` each verdict used:
+    psd is min_eigs >= -psd_tol.  min_eigs / psd_tol is therefore a
+    scale-free distance from the PSD region, comparable across points and
+    lams where the raw eigenvalues are not.
     """
 
     lambdas: tuple
@@ -67,6 +72,8 @@ class RegionScan:
     ce_min_eigs: np.ndarray
     ce_psd: np.ndarray
     used_nrae: np.ndarray
+    psd_tol: np.ndarray
+    ce_psd_tol: np.ndarray
 
     def comparison_violations(self) -> np.ndarray:
         """Per-lam count of points that are PSD under the base criterion but
@@ -156,6 +163,7 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
     scales = np.array([lam ** p for lam in lam_list])
     # rows: the base criterion, then one per lam
     min_eigs = np.empty((len(lam_list) + 1, num_points))
+    tols = np.empty((len(lam_list) + 1, num_points))
     psd = np.zeros((len(lam_list) + 1, num_points), dtype=bool)
     used_nrae = np.zeros((len(lam_list), num_points), dtype=bool)
 
@@ -169,7 +177,8 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
 
         hess = fd_hessian(objective, x, h)
         min_eigs[:, j] = min_eigenvalues(hess)
-        psd[:, j] = min_eigs[:, j] >= -psd_tolerance(hess)
+        tols[:, j] = psd_tolerance(hess)
+        psd[:, j] = min_eigs[:, j] >= -tols[:, j]
         used_nrae[:, j] = shifts > 0.0
 
     return RegionScan(
@@ -181,6 +190,8 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
         ce_min_eigs=min_eigs[0],
         ce_psd=psd[0],
         used_nrae=used_nrae,
+        psd_tol=tols[1:],
+        ce_psd_tol=tols[0],
     )
 
 

@@ -35,8 +35,6 @@ EXP_CAP = 500.0
 PROB_EPS = 1e-12
 MAX_CLAMPED_LOSS = -float(np.log(PROB_EPS))
 
-LOSS_MODES = ("binary-ce", "categorical-ce", "squared")
-
 
 class OverflowRiskError(ArithmeticError):
     """Raw RAE would overflow; the caller must stay on the NRAE path."""
@@ -86,54 +84,22 @@ class LossReport:
     max_loss: float = 0.0
 
 
-def _check_losses(losses) -> np.ndarray:
+def _check_losses(losses, stacked: bool = False) -> np.ndarray:
+    """The losses as a float array: a non-empty vector, or with `stacked`
+    also a (K, m) stack of them; every entry of every row is checked."""
     c = np.asarray(losses, dtype=float)
-    if c.ndim != 1 or c.size < 1:
-        raise ValueError("losses must be a non-empty 1-D vector")
+    if c.ndim not in ((1, 2) if stacked else (1,)) or c.size < 1:
+        shape = "a non-empty 1-D vector or (K, m) stack" if stacked else "a non-empty 1-D vector"
+        raise ValueError(f"losses must be {shape}, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
-        raise NumericDomainError("losses contain non-finite entries")
+        raise NumericDomainError(f"losses contain non-finite entries{_rows_where(~np.isfinite(c))}")
     if np.any(c < 0):
-        raise ValueError("per-sample losses must be nonnegative")
+        raise ValueError(f"per-sample losses must be nonnegative{_rows_where(c < 0)}")
     return c
 
 
-def per_sample_loss(prediction, target, mode: str) -> float:
-    """Nonnegative base loss of a single prediction.
-
-    binary-ce:      prediction is P(y=1), target in {0, 1}
-    categorical-ce: prediction is a probability vector, target a class index
-    squared:        prediction and target are reals
-    """
-    if mode == "binary-ce":
-        f = float(np.asarray(prediction))
-        if not np.isfinite(f):
-            raise NumericDomainError(f"non-finite prediction {f}")
-        if not (0.0 <= f <= 1.0):
-            raise ValueError(f"binary-ce prediction must lie in [0, 1], got {f}")
-        y = int(target)
-        if y not in (0, 1):
-            raise ValueError(f"binary-ce target must be 0 or 1, got {target}")
-        f = min(max(f, PROB_EPS), 1.0 - PROB_EPS)
-        return -(y * np.log(f) + (1 - y) * np.log(1.0 - f))
-    if mode == "categorical-ce":
-        f = np.asarray(prediction, dtype=float)
-        if f.ndim != 1:
-            raise ValueError("categorical-ce prediction must be a vector")
-        if not np.all(np.isfinite(f)):
-            raise NumericDomainError("non-finite prediction vector")
-        if np.any(f < 0) or abs(f.sum() - 1.0) > 1e-6:
-            raise ValueError("categorical-ce prediction must be a probability vector")
-        y = int(target)
-        if not 0 <= y < f.size:
-            raise ValueError(f"class index {target} out of range for {f.size} classes")
-        return -np.log(min(max(f[y], PROB_EPS), 1.0 - PROB_EPS))
-    if mode == "squared":
-        f = float(np.asarray(prediction))
-        y = float(target)
-        if not (np.isfinite(f) and np.isfinite(y)):
-            raise NumericDomainError("non-finite prediction or target")
-        return (f - y) ** 2
-    raise ValueError(f"unknown loss mode {mode!r} (expected one of {LOSS_MODES})")
+def _rows_where(bad) -> str:
+    return f" (rows {np.flatnonzero(bad.any(axis=1)).tolist()})" if bad.ndim == 2 else ""
 
 
 def rae(losses, params: CriterionParams) -> float:
@@ -149,7 +115,7 @@ def rae(losses, params: CriterionParams) -> float:
     return float(np.mean(np.exp(s * c)))
 
 
-def nrae(losses, params: CriterionParams) -> float:
+def nrae(losses, params: CriterionParams) -> float | np.ndarray:
     """(1/lam**p) * log rae, computed as a log-sum-exp so it is finite for
     arbitrarily large lam**p * c_i.  Bounded between mean(c) and max(c).
 
@@ -157,17 +123,23 @@ def nrae(losses, params: CriterionParams) -> float:
     corr = log mean(exp(s*(c - mean))).  For small exponents corr is taken
     through expm1/log1p, otherwise the 1/s factor would amplify the
     cancellation in log(1 - eps) and poison finite-difference oracles.
+
+    A vector gives a float; a (K, m) stack of loss vectors gives an array of
+    K values, each equal bit for bit to nrae of its row.
     """
-    c = _check_losses(losses)
+    c = _check_losses(losses, stacked=True)
+    rows = c.reshape(-1, c.shape[-1])
     s = params.scale
-    cbar = float(c.mean())
-    z = s * (c - cbar)
-    zmax = float(z.max())
-    if zmax <= 50.0:
-        corr = float(np.log1p(np.mean(np.expm1(z))))
-    else:
-        corr = zmax + float(np.log(np.mean(np.exp(z - zmax))))
-    return cbar + corr / s
+    cbar = rows.mean(axis=1)
+    z = s * (rows - cbar[:, None])
+    zmax = z.max(axis=1)
+    small = zmax <= 50.0
+    corr = np.empty_like(cbar)
+    corr[small] = np.log1p(np.mean(np.expm1(z[small]), axis=1))
+    big = ~small
+    corr[big] = zmax[big] + np.log(np.mean(np.exp(z[big] - zmax[big, None]), axis=1))
+    value = cbar + corr / s
+    return float(value[0]) if c.ndim == 1 else value
 
 
 def sample_weights(losses, params: CriterionParams) -> np.ndarray:
@@ -194,9 +166,20 @@ def anrat_grad_lambda(losses, params: CriterionParams) -> float:
     and the criterion, hence always >= 0.
     """
     c = _check_losses(losses)
-    w = sample_weights(c, params)
     lam, p, a, q = float(params.lam), int(params.p), float(params.a), int(params.q)
-    gap = float(np.dot(w, c)) - nrae(c, params)
+    s = params.scale
+    d = c - c.mean()
+    if s * float(d.max()) <= 50.0:
+        # Both terms of the gap are ~mean(c) while the gap itself is
+        # ~s*var(c)/2, so at small s their difference loses every digit it
+        # has.  In d = c - mean(c) and u = expm1(s*d), with w_i = (1 + u_i) /
+        # (m*(1 + mean(u))), the gap is a sum of terms of its own size.
+        u = np.expm1(s * d)
+        ubar = float(u.mean())
+        gap = (float(np.dot(u - ubar, d)) / (c.size * (1.0 + ubar))
+               + float(d.mean()) - float(np.log1p(ubar)) / s)
+    else:
+        gap = float(np.dot(sample_weights(c, params), c)) - nrae(c, params)
     return (p / lam) * gap - a * q * lam ** (-q - 1)
 
 

@@ -3,7 +3,7 @@
 Two suites over randomized (model, batch, criterion) configurations:
 
   * weight gradient: the single weighted backward pass sum_i w_i grad(c_i)
-    against central differences of the composed scalar objective
+    against central differences of the composed objective
     criterion(losses(W)) over every flat parameter;
   * lam derivative: `anrat_grad_lambda` against central differences of the
     adaptive loss in lam.
@@ -12,6 +12,14 @@ The lam objective is evaluated in extended precision with a relative step
 h * lam: near the minimax regime the two terms of the derivative almost
 cancel, and a plain double-precision difference quotient has a round-off
 floor above the tolerance being enforced.
+
+The weight-gradient oracle `fd_gradient` takes a stacked objective: a
+function from a (K, n) stack of parameter vectors to its K values.  It
+probes FD_BLOCK coordinates per call, so a case with n parameters costs
+ceil(n / FD_BLOCK) stacked forward passes instead of 2n single ones, and
+each stack holds at most 2 * FD_BLOCK vectors.  `unflatten`, `forward`,
+`batch_losses` and `nrae` all accept such stacks, and the value for each
+row equals, bit for bit, the value of that vector on its own.
 """
 
 from __future__ import annotations
@@ -28,6 +36,10 @@ from .seeds import rng_for
 
 DEFAULT_LAMBDAS = (1e-3, 1.0, 10.0, 100.0)
 DEFAULT_PS = (1, 2)
+# Coordinates probed per objective call in fd_gradient: a call evaluates a
+# (2 * FD_BLOCK, n) stack, which bounds the memory of the probe stack and of
+# the stacked forward pass behind it.
+FD_BLOCK = 64
 LOSS_MODE_NETS = {
     # loss mode -> (output_mode, output dim choices)
     "categorical-ce": ("softmax-ce", (2, 3)),
@@ -72,13 +84,27 @@ class GradCheckSummary:
 
 
 def fd_gradient(objective, x, h: float = 1e-6) -> np.ndarray:
-    """Central difference quotient of a scalar objective per coordinate."""
+    """Central difference quotient per coordinate of a stacked objective.
+
+    `objective` maps a (K, n) stack of parameter vectors to its K values.
+    The probes x + h*e_i and x - h*e_i go in blocks of at most FD_BLOCK
+    coordinates, one call per block on a (2 * block, n) stack: the plus
+    probes of the block in coordinate order, then the minus probes.
+    """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"x must be a flat parameter vector, got shape {x.shape}")
     grad = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        grad[i] = (objective(x + step) - objective(x - step)) / (2.0 * h)
+    for lo in range(0, x.size, FD_BLOCK):
+        coords = np.arange(lo, min(lo + FD_BLOCK, x.size))
+        k = coords.size
+        probes = np.tile(x, (2 * k, 1))
+        probes[np.arange(k), coords] += h
+        probes[np.arange(k, 2 * k), coords] -= h
+        values = np.asarray(objective(probes), dtype=float)
+        if values.shape != (2 * k,):
+            raise ValueError(f"stacked objective returned shape {values.shape} for {2 * k} probes")
+        grad[coords] = (values[:k] - values[k:]) / (2.0 * h)
     return grad
 
 
@@ -148,14 +174,20 @@ def _case_batch(case: GradCheckCase, rng) -> SampleBatch:
     return SampleBatch(x, y)
 
 
-def check_case(case: GradCheckCase, h: float = 1e-6) -> tuple:
-    """(weight rel err, lam rel err) for one configuration."""
+def _case_problem(case: GradCheckCase) -> tuple:
+    """(model, batch, criterion params) of one configuration."""
     model = init_model(case.layer_dims, case.activation, LOSS_MODE_NETS[case.loss_mode][0], case.seed)
     batch = _case_batch(case, rng_for(case.seed, "gradcheck-batch"))
     params = CriterionParams(lam=case.lam, p=case.p, a=case.a, q=case.q)
+    return model, batch, params
 
-    def losses_at(vec):
-        m = unflatten(model, vec)
+
+def check_case(case: GradCheckCase, h: float = 1e-6) -> tuple:
+    """(weight rel err, lam rel err) for one configuration."""
+    model, batch, params = _case_problem(case)
+
+    def losses_at(stack):
+        m = unflatten(model, stack)
         return batch_losses(forward(m, batch.inputs).outputs, batch.targets, m.output_mode)
 
     cache = forward(model, batch.inputs)
@@ -170,11 +202,27 @@ def check_case(case: GradCheckCase, h: float = 1e-6) -> tuple:
     # plain mean-loss gradient (uniform weights) against the same oracle
     uniform = np.full(batch.size, 1.0 / batch.size)
     analytic_ce = weighted_backward(model, batch, uniform, cache).flat_grad
-    numeric_ce = fd_gradient(lambda v: float(np.mean(losses_at(v))), flatten(model), h)
+    numeric_ce = fd_gradient(lambda v: np.mean(losses_at(v), axis=-1), flatten(model), h)
     weight_err = max(weight_err, rel_error(numeric_ce, analytic_ce))
 
     lam_err = rel_error(fd_lambda_gradient(losses, params, h), anrat_grad_lambda(losses, params))
     return weight_err, lam_err
+
+
+def _cases(num_cases: int, lambdas, ps, seed: int):
+    """The configurations of a sweep, cycling through every (lam, p, loss
+    mode) cell."""
+    rng = rng_for(seed, "gradcheck")
+    modes = tuple(LOSS_MODE_NETS)
+    cells = [(lam, p, mode) for lam in lambdas for p in ps for mode in modes]
+    for k in range(num_cases):
+        lam, p, mode = cells[k % len(cells)]
+        case = _random_case(rng, lam, p, mode, seed=1000 + k)
+        # the flagship size from the acceptance sweep appears explicitly
+        if k == 0:
+            case = GradCheckCase((8, 16, 8, 3), "tanh", "categorical-ce",
+                                 lam, p, 0.1, 1, 8, seed=1000)
+        yield case
 
 
 def run_gradcheck(num_cases: int = 100, lambdas=DEFAULT_LAMBDAS, ps=DEFAULT_PS,
@@ -183,18 +231,9 @@ def run_gradcheck(num_cases: int = 100, lambdas=DEFAULT_LAMBDAS, ps=DEFAULT_PS,
     """Sweep num_cases configurations cycling through every (lam, p, loss
     mode) cell, tracking the worst relative error of each suite."""
     t0 = time.perf_counter()
-    rng = rng_for(seed, "gradcheck")
-    modes = tuple(LOSS_MODE_NETS)
-    cells = [(lam, p, mode) for lam in lambdas for p in ps for mode in modes]
     worst_w = (-1.0, None)
     worst_l = (-1.0, None)
-    for k in range(num_cases):
-        lam, p, mode = cells[k % len(cells)]
-        case = _random_case(rng, lam, p, mode, seed=1000 + k)
-        # the flagship size from the acceptance sweep appears explicitly
-        if k == 0:
-            case = GradCheckCase((8, 16, 8, 3), "tanh", "categorical-ce",
-                                 lam, p, 0.1, 1, 8, seed=1000)
+    for case in _cases(num_cases, lambdas, ps, seed):
         w_err, l_err = check_case(case, h)
         if w_err > worst_w[0]:
             worst_w = (w_err, case)

@@ -5,6 +5,13 @@ Parameter layout is frozen for the whole package: layer-major, and within
 a layer the weight matrix in row-major order followed by the bias vector.
 `flatten`/`unflatten` and the text serialization all use this order.
 
+`unflatten` also takes a (K, n) stack of parameter vectors and returns a
+stacked model of K networks: weights (K, d_out, d_in), biases (K, d_out).
+`forward` and `batch_losses` run a stacked model through the same code as
+a single one, giving (K, m, d_L) outputs and a C-contiguous (K, m) loss
+array whose row k equals, bit for bit, the losses of network k alone.
+The backward pass and `flatten` take single models only.
+
 Models are never mutated by forward/backward, so a model can be shared
 across concurrent evaluations; per-batch reductions run left-to-right by
 sample index, keeping results bit-deterministic.
@@ -37,7 +44,9 @@ class MlpModel:
 
     @property
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        """Parameters of one network (of each network of a stacked model)."""
+        dims = self.layer_dims
+        return sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
 
     @property
     def num_layers(self) -> int:
@@ -106,9 +115,9 @@ def _activate_grad(z, tag):
 
 
 def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _validate_spec(layer_dims, activation, output_mode):
@@ -143,7 +152,8 @@ def init_model(layer_dims, activation, output_mode, seed: int) -> MlpModel:
 
 def forward(model: MlpModel, inputs) -> ForwardCache:
     """Batched forward pass; returns the cache needed by weighted_backward.
-    softmax-ce outputs are rows of probabilities summing to 1."""
+    softmax-ce outputs are rows of probabilities summing to 1.  A stacked
+    model runs every network on the same (m, d_0) inputs."""
     x = np.asarray(inputs, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
@@ -156,7 +166,7 @@ def forward(model: MlpModel, inputs) -> ForwardCache:
     h = x
     last = model.num_layers - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w.T + b
+        z = h @ w.swapaxes(-1, -2) + b[..., None, :]
         pre_acts.append(z)
         if k < last:
             h = _activate(z, model.activation)
@@ -172,21 +182,25 @@ def forward(model: MlpModel, inputs) -> ForwardCache:
 
 def batch_losses(outputs, targets, output_mode) -> np.ndarray:
     """Vector of nonnegative per-sample losses c_i for a batch of network
+    outputs, or a C-contiguous (K, m) array for a stacked model's (K, m, d_L)
     outputs.  Probabilities are clamped before logs."""
     f = np.asarray(outputs, dtype=float)
     if output_mode == "softmax-ce":
         y = np.asarray(targets)
-        p = np.clip(f[np.arange(f.shape[0]), y.astype(int)], PROB_EPS, 1.0 - PROB_EPS)
+        # the fancy index leaves a stack non-contiguous, and reductions over
+        # its rows would then round differently from those over one vector
+        picked = np.ascontiguousarray(f[..., np.arange(f.shape[-2]), y.astype(int)])
+        p = np.clip(picked, PROB_EPS, 1.0 - PROB_EPS)
         return -np.log(p)
     if output_mode == "sigmoid-binary-ce":
         y = np.asarray(targets, dtype=float).reshape(-1)
-        p = np.clip(f[:, 0], PROB_EPS, 1.0 - PROB_EPS)
+        p = np.clip(f[..., 0], PROB_EPS, 1.0 - PROB_EPS)
         return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
     if output_mode == "identity-squared":
         y = np.asarray(targets, dtype=float)
         if y.ndim == 1:
             y = y[:, None]
-        return np.sum((f - y) ** 2, axis=1)
+        return np.sum((f - y) ** 2, axis=-1)
     raise ValueError(f"unknown output mode {output_mode!r}")
 
 
@@ -243,18 +257,20 @@ def flatten(model: MlpModel) -> np.ndarray:
 
 
 def unflatten(model: MlpModel, vector) -> MlpModel:
-    """New model with the same shape tags and parameters taken from `vector`."""
-    v = np.asarray(vector, dtype=float)
+    """New model with the same shape tags and parameters taken from `vector`,
+    or a stacked model of K networks from a (K, n) stack of vectors."""
+    v = np.array(vector, dtype=float)  # a private copy; the layers are views of it
     n = model.param_count
-    if v.shape != (n,):
-        raise ValueError(f"parameter vector must have length {n}, got {v.shape}")
+    if v.ndim not in (1, 2) or v.shape[-1] != n:
+        raise ValueError(f"parameter vector must have length {n} (or be a (K, {n}) stack), got {v.shape}")
+    lead = v.shape[:-1]
     weights, biases = [], []
     pos = 0
-    for w, b in zip(model.weights, model.biases):
-        weights.append(v[pos:pos + w.size].reshape(w.shape).copy())
-        pos += w.size
-        biases.append(v[pos:pos + b.size].copy())
-        pos += b.size
+    for d_in, d_out in zip(model.layer_dims[:-1], model.layer_dims[1:]):
+        end = pos + d_out * d_in
+        weights.append(v[..., pos:end].reshape(*lead, d_out, d_in))
+        biases.append(v[..., end:end + d_out])
+        pos = end + d_out
     return MlpModel(model.layer_dims, model.activation, model.output_mode, weights, biases)
 
 

@@ -150,6 +150,22 @@ class TestScan:
             assert np.array_equal(scan.min_eigs[:, j], min_eigenvalues(stack[1:]))
         assert compared > 0
 
+    def test_verdicts_keep_their_tolerance(self, monkeypatch):
+        template, ds = scaled_sine_problem(target_scale=10.0)
+        stacks = []
+
+        def recording(objective, point, h):
+            stacks.append(fd_hessian(objective, point, h))
+            return stacks[-1]
+
+        monkeypatch.setattr(convexity, "fd_hessian", recording)
+        scan = scan_convexity(template, ds, [1, 8], num_points=4, box_radius=1.0, seed=2)
+        tols = np.stack([psd_tolerance(stack) for stack in stacks], axis=1)
+        assert np.array_equal(scan.ce_psd_tol, tols[0])
+        assert np.array_equal(scan.psd_tol, tols[1:])
+        assert np.array_equal(scan.psd, scan.min_eigs >= -scan.psd_tol)
+        assert np.array_equal(scan.ce_psd, scan.ce_min_eigs >= -scan.ce_psd_tol)
+
     def test_rejects_bad_arguments(self):
         template, ds = scaled_sine_problem()
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from convexlab.criteria import (
     approx_grad_lambda,
     evaluate_criterion,
     nrae,
-    per_sample_loss,
     rae,
     sample_weights,
 )
@@ -25,40 +24,6 @@ LN2 = math.log(2.0)
 
 def params(lam, p=1, a=0.0, q=1):
     return CriterionParams(lam=lam, p=p, a=a, q=q)
-
-
-class TestPerSampleLoss:
-    def test_binary_maximal_entropy(self):
-        assert per_sample_loss(0.5, 1, "binary-ce") == pytest.approx(LN2, abs=1e-12)
-
-    def test_binary_perfect_fit_after_clamp(self):
-        assert per_sample_loss(1.0, 1, "binary-ce") == pytest.approx(0.0, abs=1e-11)
-        assert per_sample_loss(0.0, 0, "binary-ce") == pytest.approx(0.0, abs=1e-11)
-
-    def test_categorical_hand_value(self):
-        c = per_sample_loss([0.1, 0.7, 0.2], 1, "categorical-ce")
-        assert c == pytest.approx(-math.log(0.7), abs=1e-12)
-
-    def test_squared(self):
-        assert per_sample_loss(1.5, 1.0, "squared") == pytest.approx(0.25)
-
-    def test_mode_target_mismatch(self):
-        with pytest.raises(ValueError):
-            per_sample_loss(0.5, 3, "binary-ce")
-        with pytest.raises(ValueError):
-            per_sample_loss([0.5, 0.5], 5, "categorical-ce")
-        with pytest.raises(ValueError):
-            per_sample_loss(0.5, 0, "no-such-mode")
-
-    def test_non_finite_prediction(self):
-        with pytest.raises(NumericDomainError):
-            per_sample_loss(float("nan"), 1, "binary-ce")
-        with pytest.raises(NumericDomainError):
-            per_sample_loss([0.5, float("inf")], 0, "categorical-ce")
-
-    def test_not_a_distribution(self):
-        with pytest.raises(ValueError):
-            per_sample_loss([0.9, 0.9], 0, "categorical-ce")
 
 
 class TestRae:

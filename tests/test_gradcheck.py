@@ -1,0 +1,176 @@
+"""Stacked finite-difference probes: the stacked network, criterion and
+fd_gradient paths against their one-vector counterparts, bit for bit; and
+the exact lam derivative against an extended-precision reference."""
+
+import math
+from decimal import Decimal, localcontext
+
+import numpy as np
+import pytest
+
+from convexlab.criteria import CriterionParams, NumericDomainError, anrat_grad_lambda, nrae
+from convexlab.gradcheck import (
+    DEFAULT_LAMBDAS,
+    DEFAULT_PS,
+    FD_BLOCK,
+    _case_problem,
+    _cases,
+    fd_gradient,
+    rel_error,
+)
+from convexlab.network import batch_losses, flatten, forward, init_model, unflatten
+
+
+def _problem(mode, out_dim, act, dims=(4, 5), m=7, seed=5):
+    rng = np.random.default_rng(seed)
+    model = init_model(list(dims) + [out_dim], act, mode, seed=seed)
+    x = rng.normal(size=(m, dims[0]))
+    if mode == "softmax-ce":
+        y = rng.integers(0, out_dim, size=m)
+    elif mode == "sigmoid-binary-ce":
+        y = rng.integers(0, 2, size=m)
+    else:
+        y = rng.normal(size=(m, out_dim)) if out_dim > 1 else rng.normal(size=m)
+    return model, x, y
+
+
+def _losses(model, vec, x, y):
+    mm = unflatten(model, vec)
+    return batch_losses(forward(mm, x).outputs, y, mm.output_mode)
+
+
+MODES = [("softmax-ce", 3, "tanh"), ("sigmoid-binary-ce", 1, "sigmoid"), ("identity-squared", 2, "tanh")]
+
+
+class TestStackedNetwork:
+    @pytest.mark.parametrize("mode,out_dim,act", MODES)
+    def test_stacked_losses_match_loop(self, mode, out_dim, act):
+        model, x, y = _problem(mode, out_dim, act)
+        stack = flatten(model) + np.random.default_rng(1).normal(scale=0.5, size=(9, model.param_count))
+        stacked = _losses(model, stack, x, y)
+        assert stacked.shape == (9, x.shape[0])
+        assert stacked.flags.c_contiguous
+        for k, vec in enumerate(stack):
+            assert stacked[k].tobytes() == _losses(model, vec, x, y).tobytes()
+
+    def test_stacked_model_shapes(self):
+        model = init_model([3, 4, 2], "tanh", "softmax-ce", seed=0)
+        stacked = unflatten(model, np.zeros((5, model.param_count)))
+        assert [w.shape for w in stacked.weights] == [(5, 4, 3), (5, 2, 4)]
+        assert [b.shape for b in stacked.biases] == [(5, 4), (5, 2)]
+        assert stacked.param_count == model.param_count
+
+    def test_bad_stack_shapes(self):
+        model = init_model([3, 4, 2], "tanh", "softmax-ce", seed=0)
+        with pytest.raises(ValueError):
+            unflatten(model, np.zeros((5, model.param_count + 1)))
+        with pytest.raises(ValueError):
+            unflatten(model, np.zeros((2, 5, model.param_count)))
+
+
+class TestStackedNrae:
+    def test_rows_match_scalar_in_both_branches(self):
+        rng = np.random.default_rng(2)
+        params = CriterionParams(lam=3.0, p=2)
+        # spreads of 0.1 stay on the expm1 branch (s * (max - mean) <= 50),
+        # spreads of 40 go through the log-sum-exp
+        stack = np.concatenate([rng.uniform(0.0, 0.1, size=(6, 8)), rng.uniform(0.0, 40.0, size=(6, 8))])
+        zmax = params.scale * (stack.max(axis=1) - stack.mean(axis=1))
+        assert (zmax <= 50.0).sum() == 6 and (zmax > 50.0).sum() == 6
+        values = nrae(stack, params)
+        assert values.shape == (12,)
+        for k, row in enumerate(stack):
+            scalar = nrae(row, params)
+            assert isinstance(scalar, float)
+            assert values[k].tobytes() == np.float64(scalar).tobytes()
+
+    def test_bad_row_raises(self):
+        params = CriterionParams(lam=1.0)
+        stack = np.ones((4, 3))
+        bad = stack.copy()
+        bad[2, 1] = np.nan
+        with pytest.raises(NumericDomainError, match=r"rows \[2\]"):
+            nrae(bad, params)
+        bad = stack.copy()
+        bad[3, 0] = -1.0
+        with pytest.raises(ValueError, match=r"rows \[3\]"):
+            nrae(bad, params)
+        with pytest.raises(ValueError):
+            nrae(np.ones((2, 2, 2)), params)
+        with pytest.raises(ValueError):
+            nrae(np.ones((3, 0)), params)
+
+
+def _loop_fd_gradient(objective, x, h):
+    """The per-coordinate oracle: two one-vector objective calls per coordinate."""
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        grad[i] = (objective(x + step) - objective(x - step)) / (2.0 * h)
+    return grad
+
+
+class TestFdGradient:
+    def _objectives(self):
+        # 10-12-6 with 3 outputs: 216 parameters, so three full blocks and a partial one
+        model, x, y = _problem("softmax-ce", 3, "tanh", dims=(10, 12, 6), m=6, seed=8)
+        params = CriterionParams(lam=10.0, p=1)
+        return model, {
+            "nrae": lambda v: nrae(_losses(model, v, x, y), params),
+            "mean": lambda v: np.mean(_losses(model, v, x, y), axis=-1),
+        }
+
+    def test_matches_per_coordinate_loop(self):
+        model, objectives = self._objectives()
+        x0 = flatten(model)
+        assert x0.size > 3 * FD_BLOCK and x0.size % FD_BLOCK
+        for objective in objectives.values():
+            stacked = fd_gradient(objective, x0, h=1e-6)
+            assert stacked.tobytes() == _loop_fd_gradient(objective, x0, 1e-6).tobytes()
+
+    def test_one_call_per_block_of_at_most_two_fd_block_rows(self):
+        model, objectives = self._objectives()
+        x0 = flatten(model)
+        rows = []
+
+        def counting(v):
+            rows.append(v.shape[0])
+            return objectives["mean"](v)
+
+        fd_gradient(counting, x0)
+        assert len(rows) == math.ceil(x0.size / FD_BLOCK)
+        assert max(rows) <= 2 * FD_BLOCK
+        assert sum(rows) == 2 * x0.size
+
+    def test_objective_must_return_one_value_per_probe(self):
+        with pytest.raises(ValueError):
+            fd_gradient(lambda v: float(np.sum(v)), np.zeros(3))
+
+
+def _decimal_grad_lambda(c, params):
+    """(p/lam) * (sum_i w_i c_i - nrae) - a*q*lam**(-q-1) in 80-digit decimal
+    arithmetic from the float64 losses."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        cs = [Decimal(float(v)) for v in c]
+        lam = Decimal(float(params.lam))
+        s = lam ** int(params.p)
+        e = [(s * v).exp() for v in cs]
+        total = sum(e)
+        gap = sum(ei * v for ei, v in zip(e, cs)) / total - (total / len(cs)).ln() / s
+        g = Decimal(int(params.p)) / lam * gap - Decimal(float(params.a)) * int(params.q) * lam ** (-int(params.q) - 1)
+        return float(g)
+
+
+class TestLambdaGradientReference:
+    # Case 4 of these gradcheck seeds has lam = 0.001, p = 2: lam**p = 1e-6,
+    # where the difference of the weighted mean loss and nrae cancels to a
+    # millionth of either term.
+    @pytest.mark.parametrize("seed", [90, 355, 455, 535])
+    def test_small_scale_cases(self, seed):
+        case = list(_cases(5, DEFAULT_LAMBDAS, DEFAULT_PS, seed))[4]
+        model, batch, params = _case_problem(case)
+        assert params.scale == pytest.approx(1e-6)
+        c = batch_losses(forward(model, batch.inputs).outputs, batch.targets, model.output_mode)
+        assert rel_error(anrat_grad_lambda(c, params), _decimal_grad_lambda(c, params)) < 1e-7

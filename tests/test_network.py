@@ -173,7 +173,7 @@ class TestWeightedBackward:
         def objective(vec):
             mm = unflatten(model, vec)
             losses = batch_losses(forward(mm, batch.inputs).outputs, batch.targets, mm.output_mode)
-            return float(np.mean(losses))
+            return np.mean(losses, axis=-1)
 
         uniform = np.full(batch.size, 1.0 / batch.size)
         analytic = weighted_backward(model, batch, uniform).flat_grad
