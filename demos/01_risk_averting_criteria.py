@@ -17,7 +17,6 @@ from convexlab import (
     CriterionParams,
     anrat_grad_lambda,
     anrat_loss,
-    approx_grad_lambda,
     nrae,
     rae,
     sample_weights,
@@ -62,4 +61,5 @@ outlier = np.array([0.01] * 9 + [5.0])
 pr = CriterionParams(lam=50.0)
 print(f"one dominant outlier, lam=50:")
 print(f"  exact lam-gradient (loss term): {anrat_grad_lambda(outlier, pr):+.6f}")
-print(f"  coarse diagnostic:              {approx_grad_lambda(outlier, pr):+.6f}")
+coarse = (pr.p / pr.lam) * (outlier.mean() - nrae(outlier, pr))  # (p/lam) * (mean(c) - nrae)
+print(f"  coarse diagnostic:              {coarse:+.6f}")

@@ -18,7 +18,7 @@ import numpy as np
 from convexlab import CriterionParams, nrae, run_gradcheck, sample_weights
 from convexlab.data import SampleBatch
 from convexlab.gradcheck import fd_gradient
-from convexlab.network import batch_losses, flatten, forward, init_model, unflatten, weighted_backward
+from convexlab.network import batch_losses, forward, init_model, unflatten, weighted_backward
 
 # a single configuration, spelled out
 model = init_model([4, 12, 3], "tanh", "softmax-ce", seed=0)
@@ -27,7 +27,7 @@ batch = SampleBatch(rng.normal(size=(8, 4)), rng.integers(0, 3, size=8))
 params = CriterionParams(lam=10.0)
 
 losses = batch_losses(forward(model, batch.inputs).outputs, batch.targets, "softmax-ce")
-analytic = weighted_backward(model, batch, sample_weights(losses, params)).flat_grad
+analytic = weighted_backward(model, batch, sample_weights(losses, params))
 
 
 def objective(stack):
@@ -37,7 +37,7 @@ def objective(stack):
     return nrae(c, params)
 
 
-numeric = fd_gradient(objective, flatten(model), h=1e-6)
+numeric = fd_gradient(objective, model.theta, h=1e-6)
 err = np.abs(analytic - numeric).max() / np.abs(analytic).max()
 print(f"single config (4-12-3 net, lam=10): {model.param_count} parameters, "
       f"max relative error {err:.2e}\n")

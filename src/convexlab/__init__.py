@@ -15,7 +15,6 @@ from .criteria import (
     OverflowRiskError,
     anrat_grad_lambda,
     anrat_loss,
-    approx_grad_lambda,
     evaluate_criterion,
     nrae,
     rae,
@@ -41,11 +40,9 @@ from .data import (
 )
 from .gradcheck import GradCheckSummary, run_gradcheck
 from .network import (
-    GradientBundle,
     MlpModel,
     batch_losses,
     deserialize_model,
-    flatten,
     forward,
     init_model,
     serialize_model,

@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from .criteria import EXP_CAP
 from .convexity import scan_convexity, write_scan_csvs
 from .data import (
     DEFAULT_MNIST_URL,
@@ -98,7 +97,6 @@ KEY_SPECS = {
     "a": (0.1, float, "penalty weight of the adaptive criterion"),
     "q": (1, int, "penalty index of the adaptive criterion"),
     "rho": (0.8, float, "per-epoch lam decay of the scheduled strategy"),
-    "switch_cap": (EXP_CAP, float, "feasibility cap for the scheduled switch"),
     "stagnancy_window": (5, int, "epochs inspected by the stagnancy detector"),
     "stagnancy_min_rel": (1e-4, float, "minimum relative val improvement over the window"),
     # grid search
@@ -276,7 +274,6 @@ def _train_config(cfg: RunConfig, output_mode: str, strategy=None) -> TrainConfi
         a=cfg.get("a"),
         q=cfg.get("q"),
         rho=cfg.get("rho") if strategy == "scheduled" else None,
-        switch_cap=cfg.get("switch_cap"),
         stagnancy_window=cfg.get("stagnancy_window"),
         stagnancy_min_rel_improvement=cfg.get("stagnancy_min_rel"),
         seed=cfg.get("seed"),

@@ -102,6 +102,53 @@ def _rows_where(bad) -> str:
     return f" (rows {np.flatnonzero(bad.any(axis=1)).tolist()})" if bad.ndim == 2 else ""
 
 
+def _rae_value(c, s: float) -> float:
+    # inf past float range, which the caller treats as divergence
+    with np.errstate(over="ignore"):
+        return float(np.mean(np.exp(s * c)))
+
+
+def _nrae_rows(rows, s: float) -> np.ndarray:
+    cbar = rows.mean(axis=1)
+    z = s * (rows - cbar[:, None])
+    zmax = z.max(axis=1)
+    small = zmax <= 50.0
+    corr = np.empty_like(cbar)
+    corr[small] = np.log1p(np.mean(np.expm1(z[small]), axis=1))
+    big = ~small
+    corr[big] = zmax[big] + np.log(np.mean(np.exp(z[big] - zmax[big, None]), axis=1))
+    return cbar + corr / s
+
+
+def _softmax_weights(c, s: float) -> np.ndarray:
+    z = s * c
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def _penalty(params: CriterionParams) -> float:
+    return params.a * float(params.lam) ** (-params.q)
+
+
+def _grad_lambda(c, params: CriterionParams, w, nrae_value: float) -> float:
+    lam, p, a, q = float(params.lam), int(params.p), float(params.a), int(params.q)
+    s = params.scale
+    d = c - c.mean()
+    if s * float(d.max()) <= 50.0:
+        # Both terms of the gap are ~mean(c) while the gap itself is
+        # ~s*var(c)/2, so at small s their difference loses every digit it
+        # has.  In d = c - mean(c) and u = expm1(s*d), with w_i = (1 + u_i) /
+        # (m*(1 + mean(u))), the gap is a sum of terms of its own size.
+        u = np.expm1(s * d)
+        ubar = float(u.mean())
+        gap = (float(np.dot(u - ubar, d)) / (c.size * (1.0 + ubar))
+               + float(d.mean()) - float(np.log1p(ubar)) / s)
+    else:
+        gap = float(np.dot(w, c)) - nrae_value
+    return (p / lam) * gap - a * q * lam ** (-q - 1)
+
+
 def rae(losses, params: CriterionParams) -> float:
     """Mean of exp(lam**p * c_i).  Refuses to evaluate when the largest
     exponent exceeds EXP_CAP; callers must use `nrae` in that regime."""
@@ -112,7 +159,7 @@ def rae(losses, params: CriterionParams) -> float:
         raise OverflowRiskError(
             f"lam**p * max(c) = {zmax:.6g} exceeds cap {EXP_CAP:g}; use nrae"
         )
-    return float(np.mean(np.exp(s * c)))
+    return _rae_value(c, s)
 
 
 def nrae(losses, params: CriterionParams) -> float | np.ndarray:
@@ -128,33 +175,19 @@ def nrae(losses, params: CriterionParams) -> float | np.ndarray:
     K values, each equal bit for bit to nrae of its row.
     """
     c = _check_losses(losses, stacked=True)
-    rows = c.reshape(-1, c.shape[-1])
-    s = params.scale
-    cbar = rows.mean(axis=1)
-    z = s * (rows - cbar[:, None])
-    zmax = z.max(axis=1)
-    small = zmax <= 50.0
-    corr = np.empty_like(cbar)
-    corr[small] = np.log1p(np.mean(np.expm1(z[small]), axis=1))
-    big = ~small
-    corr[big] = zmax[big] + np.log(np.mean(np.exp(z[big] - zmax[big, None]), axis=1))
-    value = cbar + corr / s
+    value = _nrae_rows(c.reshape(-1, c.shape[-1]), params.scale)
     return float(value[0]) if c.ndim == 1 else value
 
 
 def sample_weights(losses, params: CriterionParams) -> np.ndarray:
     """Softmax over lam**p * c_i: the per-sample factors whose weighted sum
     of loss gradients is the full criterion gradient with respect to W."""
-    c = _check_losses(losses)
-    z = params.scale * c
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    return _softmax_weights(_check_losses(losses), params.scale)
 
 
 def anrat_loss(losses, params: CriterionParams) -> float:
     """nrae plus the penalty a * lam**(-q) that resists lam collapsing."""
-    return nrae(losses, params) + params.a * float(params.lam) ** (-params.q)
+    return nrae(losses, params) + _penalty(params)
 
 
 def anrat_grad_lambda(losses, params: CriterionParams) -> float:
@@ -166,51 +199,34 @@ def anrat_grad_lambda(losses, params: CriterionParams) -> float:
     and the criterion, hence always >= 0.
     """
     c = _check_losses(losses)
-    lam, p, a, q = float(params.lam), int(params.p), float(params.a), int(params.q)
     s = params.scale
-    d = c - c.mean()
-    if s * float(d.max()) <= 50.0:
-        # Both terms of the gap are ~mean(c) while the gap itself is
-        # ~s*var(c)/2, so at small s their difference loses every digit it
-        # has.  In d = c - mean(c) and u = expm1(s*d), with w_i = (1 + u_i) /
-        # (m*(1 + mean(u))), the gap is a sum of terms of its own size.
-        u = np.expm1(s * d)
-        ubar = float(u.mean())
-        gap = (float(np.dot(u - ubar, d)) / (c.size * (1.0 + ubar))
-               + float(d.mean()) - float(np.log1p(ubar)) / s)
-    else:
-        gap = float(np.dot(sample_weights(c, params), c)) - nrae(c, params)
-    return (p / lam) * gap - a * q * lam ** (-q - 1)
-
-
-def approx_grad_lambda(losses, params: CriterionParams) -> float:
-    """Diagnostic-only coarse lam gradient (p/lam) * (mean(c) - nrae).
-    Training always uses `anrat_grad_lambda`; this can disagree with it in
-    sign when one sample dominates the batch."""
-    c = _check_losses(losses)
-    return (params.p / float(params.lam)) * (float(c.mean()) - nrae(c, params))
+    return _grad_lambda(c, params, _softmax_weights(c, s), float(_nrae_rows(c[None, :], s)[0]))
 
 
 def evaluate_criterion(losses, kind: str, params: CriterionParams) -> LossReport:
     """Evaluate one criterion kind ('ce' | 'rae' | 'nrae' | 'anrat') on a
     loss vector, bundling the value, the plain CE mean, the gradient
-    weights, and (anrat) the lam derivative."""
+    weights, and (anrat) the lam derivative.
+
+    One pass: the losses are checked once, and the softmax weights and nrae
+    are computed once and shared by the anrat value and lam derivative.
+    The 'rae' kind reports the raw mean(exp(lam**p * c_i)) with no cap,
+    inf past float range, and the weights of 'nrae' (its gradient is
+    lam**p * rae times theirs).
+    """
     c = _check_losses(losses)
     ce = float(c.mean())
     cmax = float(c.max())
     if kind == "ce":
-        w = np.full(c.size, 1.0 / c.size)
-        return LossReport(ce, ce, w, max_loss=cmax)
+        return LossReport(ce, ce, np.full(c.size, 1.0 / c.size), max_loss=cmax)
+    if kind not in ("rae", "nrae", "anrat"):
+        raise ValueError(f"unknown criterion kind {kind!r}")
+    s = params.scale
+    w = _softmax_weights(c, s)
     if kind == "rae":
-        return LossReport(rae(c, params), ce, sample_weights(c, params), max_loss=cmax)
+        return LossReport(_rae_value(c, s), ce, w, max_loss=cmax)
+    value = float(_nrae_rows(c[None, :], s)[0])
     if kind == "nrae":
-        return LossReport(nrae(c, params), ce, sample_weights(c, params), max_loss=cmax)
-    if kind == "anrat":
-        return LossReport(
-            anrat_loss(c, params),
-            ce,
-            sample_weights(c, params),
-            lambda_grad=anrat_grad_lambda(c, params),
-            max_loss=cmax,
-        )
-    raise ValueError(f"unknown criterion kind {kind!r}")
+        return LossReport(value, ce, w, max_loss=cmax)
+    return LossReport(value + _penalty(params), ce, w,
+                      lambda_grad=_grad_lambda(c, params, w, value), max_loss=cmax)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .criteria import CriterionParams, anrat_grad_lambda, nrae, sample_weights
 from .data import SampleBatch
-from .network import batch_losses, flatten, forward, init_model, unflatten, weighted_backward
+from .network import batch_losses, forward, init_model, unflatten, weighted_backward
 from .seeds import rng_for
 
 DEFAULT_LAMBDAS = (1e-3, 1.0, 10.0, 100.0)
@@ -195,14 +195,14 @@ def check_case(case: GradCheckCase, h: float = 1e-6) -> tuple:
 
     # criterion gradient through the weighted backward pass
     w = sample_weights(losses, params)
-    analytic = weighted_backward(model, batch, w, cache).flat_grad
-    numeric = fd_gradient(lambda v: nrae(losses_at(v), params), flatten(model), h)
+    analytic = weighted_backward(model, batch, w, cache)
+    numeric = fd_gradient(lambda v: nrae(losses_at(v), params), model.theta, h)
     weight_err = rel_error(numeric, analytic)
 
     # plain mean-loss gradient (uniform weights) against the same oracle
     uniform = np.full(batch.size, 1.0 / batch.size)
-    analytic_ce = weighted_backward(model, batch, uniform, cache).flat_grad
-    numeric_ce = fd_gradient(lambda v: np.mean(losses_at(v), axis=-1), flatten(model), h)
+    analytic_ce = weighted_backward(model, batch, uniform, cache)
+    numeric_ce = fd_gradient(lambda v: np.mean(losses_at(v), axis=-1), model.theta, h)
     weight_err = max(weight_err, rel_error(numeric_ce, analytic_ce))
 
     lam_err = rel_error(fd_lambda_gradient(losses, params, h), anrat_grad_lambda(losses, params))

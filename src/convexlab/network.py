@@ -1,16 +1,19 @@
 """Minimal multilayer perceptron: seeded init, batched forward, and a
 weighted backward pass returning the flat gradient sum_i w_i * grad(c_i).
 
-Parameter layout is frozen for the whole package: layer-major, and within
-a layer the weight matrix in row-major order followed by the bias vector.
-`flatten`/`unflatten` and the text serialization all use this order.
+A model owns one parameter buffer `theta`, whose layout is frozen for the
+whole package: layer-major, and within a layer the weight matrix in
+row-major order followed by the bias vector.  `weights[k]` and `biases[k]`
+are views of `theta`, so the flat vector is always `model.theta` and there
+is no separate flatten step.  `unflatten`, the gradient of
+`weighted_backward` and the text serialization all use this order.
 
 `unflatten` also takes a (K, n) stack of parameter vectors and returns a
-stacked model of K networks: weights (K, d_out, d_in), biases (K, d_out).
-`forward` and `batch_losses` run a stacked model through the same code as
-a single one, giving (K, m, d_L) outputs and a C-contiguous (K, m) loss
-array whose row k equals, bit for bit, the losses of network k alone.
-The backward pass and `flatten` take single models only.
+stacked model of K networks: `theta` (K, n), weights (K, d_out, d_in),
+biases (K, d_out).  `forward` and `batch_losses` run a stacked model
+through the same code as a single one, giving (K, m, d_L) outputs and a
+C-contiguous (K, m) loss array whose row k equals, bit for bit, the losses
+of network k alone.  The backward pass takes single models only.
 
 Models are never mutated by forward/backward, so a model can be shared
 across concurrent evaluations; per-batch reductions run left-to-right by
@@ -19,7 +22,7 @@ sample index, keeping results bit-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,32 +37,43 @@ class ModelFormatError(ValueError):
     """Malformed serialized model text."""
 
 
+def _layer_views(flat, layer_dims) -> tuple:
+    """(weights, biases): per-layer views of a (..., n) parameter array in the
+    frozen layout, weights[k] (..., d_{k+1}, d_k) and biases[k] (..., d_{k+1})."""
+    lead = flat.shape[:-1]
+    weights, biases = [], []
+    pos = 0
+    for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
+        end = pos + d_out * d_in
+        weights.append(flat[..., pos:end].reshape(*lead, d_out, d_in))
+        biases.append(flat[..., end:end + d_out])
+        pos = end + d_out
+    return weights, biases
+
+
 @dataclass
 class MlpModel:
     layer_dims: tuple
     activation: str
     output_mode: str
-    weights: list  # weights[k]: (d_{k+1}, d_k)
-    biases: list   # biases[k]: (d_{k+1},)
+    theta: np.ndarray  # (n,), or (K, n) for a stack of K networks
+    weights: list = field(init=False, repr=False)  # weights[k]: (d_{k+1}, d_k), a view of theta
+    biases: list = field(init=False, repr=False)   # biases[k]: (d_{k+1},), a view of theta
+
+    def __post_init__(self):
+        self.weights, self.biases = _layer_views(self.theta, self.layer_dims)
 
     @property
     def param_count(self) -> int:
         """Parameters of one network (of each network of a stacked model)."""
-        dims = self.layer_dims
-        return sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
+        return self.theta.shape[-1]
 
     @property
     def num_layers(self) -> int:
         return len(self.weights)
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            self.layer_dims,
-            self.activation,
-            self.output_mode,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return replace(self, theta=self.theta.copy())
 
 
 @dataclass
@@ -73,13 +87,6 @@ class ForwardCache:
     @property
     def outputs(self) -> np.ndarray:
         return self.acts[-1]
-
-
-@dataclass
-class GradientBundle:
-    flat_grad: np.ndarray
-    sample_weights_used: np.ndarray
-    lambda_grad: float | None = None
 
 
 def _sigmoid(z):
@@ -120,6 +127,10 @@ def _softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _param_count(dims) -> int:
+    return sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
+
+
 def _validate_spec(layer_dims, activation, output_mode):
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2:
@@ -142,12 +153,12 @@ def init_model(layer_dims, activation, output_mode, seed: int) -> MlpModel:
     fully determined by the seed."""
     dims = _validate_spec(layer_dims, activation, output_mode)
     rng = rng_for(seed, "init")
-    weights, biases = [], []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
+    model = MlpModel(dims, activation, output_mode, np.zeros(_param_count(dims)))
+    for w in model.weights:
+        d_out, d_in = w.shape
         r = np.sqrt(6.0 / (d_in + d_out))
-        weights.append(rng.uniform(-r, r, size=(d_out, d_in)))
-        biases.append(np.zeros(d_out))
-    return MlpModel(dims, activation, output_mode, weights, biases)
+        w[...] = rng.uniform(-r, r, size=(d_out, d_in))
+    return model
 
 
 def forward(model: MlpModel, inputs) -> ForwardCache:
@@ -223,9 +234,10 @@ def _output_delta(cache: ForwardCache, targets, output_mode) -> np.ndarray:
     raise ValueError(f"unknown output mode {output_mode!r}")
 
 
-def weighted_backward(model: MlpModel, batch, weights, cache: ForwardCache | None = None) -> GradientBundle:
-    """One batched backward pass computing sum_i w_i * grad_W(c_i) as a flat
-    vector.  With w_i = 1/m this is the plain mean-loss gradient."""
+def weighted_backward(model: MlpModel, batch, weights, cache: ForwardCache | None = None) -> np.ndarray:
+    """One batched backward pass computing sum_i w_i * grad_W(c_i) as an (n,)
+    vector laid out like `theta`.  With w_i = 1/m this is the plain
+    mean-loss gradient."""
     w_vec = np.asarray(weights, dtype=float)
     inputs, targets = batch.inputs, batch.targets
     m = np.asarray(inputs).shape[0] if np.asarray(inputs).ndim > 1 else 1
@@ -237,41 +249,27 @@ def weighted_backward(model: MlpModel, batch, weights, cache: ForwardCache | Non
         cache = forward(model, inputs)
 
     delta = _output_delta(cache, targets, model.output_mode) * w_vec[:, None]
-    grads_w = [None] * model.num_layers
-    grads_b = [None] * model.num_layers
+    grad = np.empty(model.param_count)
+    grads_w, grads_b = _layer_views(grad, model.layer_dims)
     for k in range(model.num_layers - 1, -1, -1):
-        grads_w[k] = delta.T @ cache.acts[k]
-        grads_b[k] = delta.sum(axis=0)
+        np.matmul(delta.T, cache.acts[k], out=grads_w[k])
+        delta.sum(axis=0, out=grads_b[k])
         if k > 0:
             delta = (delta @ model.weights[k]) * _activate_grad(cache.pre_acts[k - 1], model.activation)
 
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in zip(grads_w, grads_b)])
-    if not np.all(np.isfinite(flat)):
+    if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite gradient")
-    return GradientBundle(flat, w_vec)
-
-
-def flatten(model: MlpModel) -> np.ndarray:
-    """Layer-major, row-major, weights-then-bias parameter vector."""
-    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(model.weights, model.biases)])
+    return grad
 
 
 def unflatten(model: MlpModel, vector) -> MlpModel:
     """New model with the same shape tags and parameters taken from `vector`,
     or a stacked model of K networks from a (K, n) stack of vectors."""
-    v = np.array(vector, dtype=float)  # a private copy; the layers are views of it
+    v = np.array(vector, dtype=float)  # a private copy: the new model's theta
     n = model.param_count
     if v.ndim not in (1, 2) or v.shape[-1] != n:
         raise ValueError(f"parameter vector must have length {n} (or be a (K, {n}) stack), got {v.shape}")
-    lead = v.shape[:-1]
-    weights, biases = [], []
-    pos = 0
-    for d_in, d_out in zip(model.layer_dims[:-1], model.layer_dims[1:]):
-        end = pos + d_out * d_in
-        weights.append(v[..., pos:end].reshape(*lead, d_out, d_in))
-        biases.append(v[..., end:end + d_out])
-        pos = end + d_out
-    return MlpModel(model.layer_dims, model.activation, model.output_mode, weights, biases)
+    return replace(model, theta=v)
 
 
 def serialize_model(model: MlpModel) -> str:
@@ -301,15 +299,14 @@ def deserialize_model(text: str) -> MlpModel:
         raise ModelFormatError("line 1: non-integer layer dimension in header") from None
     dims = _validate_spec(dims, activation, output_mode)
 
-    weights, biases = [], []
+    model = MlpModel(dims, activation, output_mode, np.empty(_param_count(dims)))
     ln = 1  # 0-based index of the next line to consume
     for k in range(1, len(dims)):
         if ln >= len(lines) or lines[ln].split() != ["layer", str(k)]:
             raise ModelFormatError(f"line {ln + 1}: expected 'layer {k}'")
         ln += 1
         d_out, d_in = dims[k], dims[k - 1]
-        w = np.empty((d_out, d_in))
-        b = np.empty(d_out)
+        w, b = model.weights[k - 1], model.biases[k - 1]
         for r in range(d_out):
             if ln >= len(lines):
                 raise ModelFormatError(f"line {ln + 1}: file ends inside layer {k} (row {r + 1} missing)")
@@ -325,9 +322,7 @@ def deserialize_model(text: str) -> MlpModel:
             w[r] = vals[:-1]
             b[r] = vals[-1]
             ln += 1
-        weights.append(w)
-        biases.append(b)
-    return MlpModel(dims, activation, output_mode, weights, biases)
+    return model
 
 
 def hidden_unit_cosines(model: MlpModel) -> list:

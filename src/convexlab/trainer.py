@@ -4,7 +4,7 @@
     nrae-fixed - log-domain criterion at a fixed lam
     scheduled  - start at a large lam, decay it by rho each epoch, switch
                  permanently to the raw exponential criterion once
-                 lam**p * max(c) fits under the overflow cap
+                 lam**p * max(c) fits under EXP_CAP
     anrat      - joint SGD on (W, lam) with the lam**(-q) penalty
 
 plus hold-out evaluation, grid search over (learning rate, penalty weight),
@@ -12,6 +12,10 @@ and stagnancy detection on the validation loss.
 
 One training run is a single sequential loop (SGD is order-dependent);
 grid-search runs are independent of each other and each owns its model.
+
+The scheduled switch changes only the logged criterion, not the update:
+every step, before and after it, applies the nrae weights with the
+unscaled learning rate (see `sgd_step`).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .criteria import (
     LAMBDA_MIN,
     MAX_CLAMPED_LOSS,
     CriterionParams,
-    LossReport,
     NumericDomainError,
     evaluate_criterion,
 )
@@ -34,10 +37,8 @@ from .data import SampleBatch, batches
 from .network import (
     MlpModel,
     batch_losses,
-    flatten,
     forward,
     init_model,
-    unflatten,
     weighted_backward,
 )
 from .seeds import epoch_seed
@@ -87,7 +88,6 @@ class TrainConfig:
     a: float = 0.1
     q: int = 1
     rho: float | None = None  # scheduled only
-    switch_cap: float = EXP_CAP
     stagnancy_window: int = 5
     stagnancy_min_rel_improvement: float = 1e-4
     seed: int = 0
@@ -148,15 +148,12 @@ class TrainReport:
         return self.records[self.best_epoch].val_error
 
 
-def _apply_update(model: MlpModel, flat_grad: np.ndarray, lr: float) -> MlpModel:
-    return unflatten(model, flatten(model) - lr * flat_grad)
-
-
-def _rae_value_tolerant(losses: np.ndarray, s: float) -> float:
-    """Raw exponential criterion without the feasibility cap; inf signals
-    divergence to the caller instead of raising."""
-    with np.errstate(over="ignore"):
-        return float(np.mean(np.exp(s * np.asarray(losses))))
+def _apply_update(model: MlpModel, grad: np.ndarray, lr: float) -> MlpModel:
+    """The model at theta - lr * grad.  The new theta is written into the
+    buffer of `grad`, which the caller hands over: a fresh parameter-sized
+    array per step costs more than the arithmetic at desk scale."""
+    grad *= lr
+    return replace(model, theta=np.subtract(model.theta, grad, out=grad))
 
 
 def sgd_step(model: MlpModel, batch: SampleBatch, criterion: Criterion,
@@ -164,23 +161,15 @@ def sgd_step(model: MlpModel, batch: SampleBatch, criterion: Criterion,
     """One descent step W <- W - lr * sum_i w_i grad(c_i) with the weights
     of the active criterion (uniform 1/m for 'ce').
 
-    In 'rae' mode the raw-criterion gradient lam**p * RAE * sum_i w_i grad(c_i)
-    is applied with the learning rate rescaled by 1/(lam**p * RAE), so the
-    effective step matches the log-domain phase in direction and magnitude.
+    'rae' reports the raw criterion value but steps with the nrae weights:
+    that is the raw-criterion gradient lam**p * RAE * sum_i w_i grad(c_i)
+    with the learning rate rescaled by 1/(lam**p * RAE), so the step equals
+    the log-domain one in direction and magnitude.
     """
     cache = forward(model, batch.inputs)
     losses = batch_losses(cache.outputs, batch.targets, model.output_mode)
-    if criterion.kind == "rae":
-        report = evaluate_criterion(losses, "nrae", criterion.params)
-        report = LossReport(
-            criterion_value=_rae_value_tolerant(losses, criterion.params.scale),
-            ce_value=report.ce_value,
-            sample_weights=report.sample_weights,
-            max_loss=report.max_loss,
-        )
-    else:
-        report = evaluate_criterion(losses, criterion.kind, criterion.params)
-    grad = weighted_backward(model, batch, report.sample_weights, cache).flat_grad
+    report = evaluate_criterion(losses, criterion.kind, criterion.params)
+    grad = weighted_backward(model, batch, report.sample_weights, cache)
     return _apply_update(model, grad, learning_rate), report
 
 
@@ -194,26 +183,22 @@ def anrat_step(model: MlpModel, lam: float, batch: SampleBatch, params: Criterio
     like lam**(-q-1) near the floor, and an unclamped explicit step there
     would catapult lam upward by orders of magnitude in one update.
     """
-    params = replace(params, lam=lam)
-    cache = forward(model, batch.inputs)
-    losses = batch_losses(cache.outputs, batch.targets, model.output_mode)
-    report = evaluate_criterion(losses, "anrat", params)
-    grad = weighted_backward(model, batch, report.sample_weights, cache).flat_grad
-    new_model = _apply_update(model, grad, learning_rate)
+    new_model, report = sgd_step(model, batch, Criterion("anrat", replace(params, lam=lam)), learning_rate)
     new_lam = lam - lambda_lr * report.lambda_grad
     new_lam = max(LAMBDA_MIN, min(max(new_lam, 0.5 * lam), 2.0 * lam))
     return new_model, new_lam, report
 
 
 def scheduled_update(lam: float, switched: bool, max_loss: float, rho: float,
-                     p: int = 1, cap: float = EXP_CAP) -> tuple:
+                     p: int = 1) -> tuple:
     """End-of-epoch schedule: decay lam toward the floor of 1, then switch
-    permanently to the raw criterion once lam**p * max_loss fits under the
-    cap.  After the switch lam is frozen."""
+    permanently to the raw criterion once lam**p * max_loss fits under
+    EXP_CAP.  After the switch lam is frozen.  The switch changes the
+    logged criterion only; the steps stay those of nrae."""
     if switched:
         return lam, True
     lam = max(lam * rho, 1.0)
-    return lam, lam**p * max_loss <= cap
+    return lam, lam**p * max_loss <= EXP_CAP
 
 
 def detect_stagnancy(records, window: int, min_rel_improvement: float) -> bool:
@@ -301,9 +286,7 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
             raise DivergedError(ep, -1, "non-finite validation loss")
         if config.strategy == "scheduled":
             switch_signal = MAX_CLAMPED_LOSS if loss_bounded else max_loss_seen
-            lam, switched = scheduled_update(
-                lam, switched, switch_signal, config.rho, config.p, config.switch_cap
-            )
+            lam, switched = scheduled_update(lam, switched, switch_signal, config.rho, config.p)
         records.append(EpochRecord(
             epoch=ep,
             train_criterion=crit_sum / seen,

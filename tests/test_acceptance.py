@@ -206,9 +206,9 @@ def test_criterion_6_scheduled_strategy(desk_splits):
     losses = batch_losses(cache.outputs, batch.targets, "softmax-ce")
     assert lam * losses.max() <= 709.0
     params = CriterionParams(lam=lam)
-    g_nrae = weighted_backward(rep.final_model, batch, sample_weights(losses, params)).flat_grad
+    g_nrae = weighted_backward(rep.final_model, batch, sample_weights(losses, params))
     raw = (lam / batch.size) * np.exp(lam * losses)
-    g_rae = weighted_backward(rep.final_model, batch, raw).flat_grad
+    g_rae = weighted_backward(rep.final_model, batch, raw)
     u = g_rae / np.abs(g_rae).max()
     v = g_nrae / np.abs(g_nrae).max()
     cos = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))

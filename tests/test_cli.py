@@ -53,6 +53,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             RunConfig({}, {"nope": "1"})
 
+    def test_removed_switch_cap_key_exit_1(self, tmp_path, capsys):
+        # the scheduled switch always uses EXP_CAP; an old config that still
+        # sets the cap is refused, not silently ignored
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text("strategy = scheduled\nswitch_cap = 700\n")
+        assert run(["train", "--config", cfg_file, "--out", tmp_path / "out"] + SINE_TRAIN) == EXIT_CONFIG
+        assert "unknown key 'switch_cap'" in capsys.readouterr().err
+
     def test_missing_required_key_named(self):
         cfg = RunConfig({}, {})
         with pytest.raises(ConfigError, match="strategy"):

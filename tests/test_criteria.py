@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import convexlab.criteria as criteria
 from convexlab.criteria import (
     EXP_CAP,
     LAMBDA_MIN,
@@ -11,7 +13,6 @@ from convexlab.criteria import (
     OverflowRiskError,
     anrat_grad_lambda,
     anrat_loss,
-    approx_grad_lambda,
     evaluate_criterion,
     nrae,
     rae,
@@ -196,25 +197,6 @@ class TestAnrat:
             assert abs(exact - fd) / scale < 1e-6
 
 
-class TestApproxGradLambda:
-    def test_zero_for_identical_losses(self):
-        assert approx_grad_lambda([1.3] * 5, params(2.0)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_hand_value(self):
-        g = approx_grad_lambda([0.0, LN2], params(1.0))
-        assert g == pytest.approx(0.5 * LN2 - math.log(1.5), abs=1e-12)
-        assert g == pytest.approx(-0.058891, abs=1e-6)
-
-    def test_sign_disagrees_with_exact_on_outliers(self):
-        # one dominant loss, large lam: the diagnostic goes negative while
-        # the exact derivative's loss term stays nonnegative
-        c = np.array([0.01] * 9 + [5.0])
-        pr = params(50.0, a=0.0)
-        diag = approx_grad_lambda(c, pr)
-        exact = anrat_grad_lambda(c, pr)
-        assert diag < 0 < exact + 1e-15
-
-
 class TestOrderingEquivalence:
     def test_rae_nrae_same_ordering(self):
         rng = np.random.default_rng(10)
@@ -260,6 +242,50 @@ class TestLossReport:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             evaluate_criterion([1.0], "mse", params(1.0))
+
+    def test_losses_checked_once(self, monkeypatch):
+        calls = []
+        check = criteria._check_losses
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+        monkeypatch.setattr(criteria, "_check_losses", counting)
+        for kind in ("ce", "rae", "nrae", "anrat"):
+            calls.clear()
+            evaluate_criterion([0.2, 1.0, 0.7], kind, params(3.0, a=0.1))
+            assert len(calls) == 1, kind
+
+    @pytest.mark.parametrize("lam,big", [(1.0, False), (100.0, True)])
+    def test_reports_equal_public_functions(self, lam, big):
+        # both branches of nrae and of the lam derivative: the tilt
+        # s*(max(c) - mean(c)) below and above 50
+        c = np.array([0.1, 0.5, 2.0, 0.3])
+        pr = params(lam, p=1, a=0.1, q=2)
+        assert (pr.scale * (c.max() - c.mean()) > 50.0) == big
+        rep = evaluate_criterion(c, "nrae", pr)
+        assert rep.criterion_value == nrae(c, pr)
+        assert np.array_equal(rep.sample_weights, sample_weights(c, pr))
+        rep = evaluate_criterion(c, "anrat", pr)
+        assert rep.criterion_value == anrat_loss(c, pr)
+        assert rep.lambda_grad == anrat_grad_lambda(c, pr)
+        assert np.array_equal(rep.sample_weights, sample_weights(c, pr))
+
+    def test_rae_kind_equals_rae_where_feasible(self):
+        c = np.array([0.1, 0.5, 2.0, 0.3])
+        for lam in (0.5, 3.0, EXP_CAP / 2.0):
+            rep = evaluate_criterion(c, "rae", params(lam))
+            assert rep.criterion_value == rae(c, params(lam))
+            assert np.array_equal(rep.sample_weights, sample_weights(c, params(lam)))
+
+    def test_rae_kind_inf_past_float_range(self):
+        c = np.array([0.0, 10.0])
+        pr = params(100.0)  # exp(1000) is past float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = evaluate_criterion(c, "rae", pr)
+        assert rep.criterion_value == math.inf
+        assert np.array_equal(rep.sample_weights, sample_weights(c, pr))
 
 
 class TestParamsValidation:

@@ -18,7 +18,7 @@ from convexlab.gradcheck import (
     fd_gradient,
     rel_error,
 )
-from convexlab.network import batch_losses, flatten, forward, init_model, unflatten
+from convexlab.network import batch_losses, forward, init_model, unflatten
 
 
 def _problem(mode, out_dim, act, dims=(4, 5), m=7, seed=5):
@@ -46,7 +46,7 @@ class TestStackedNetwork:
     @pytest.mark.parametrize("mode,out_dim,act", MODES)
     def test_stacked_losses_match_loop(self, mode, out_dim, act):
         model, x, y = _problem(mode, out_dim, act)
-        stack = flatten(model) + np.random.default_rng(1).normal(scale=0.5, size=(9, model.param_count))
+        stack = model.theta + np.random.default_rng(1).normal(scale=0.5, size=(9, model.param_count))
         stacked = _losses(model, stack, x, y)
         assert stacked.shape == (9, x.shape[0])
         assert stacked.flags.c_contiguous
@@ -123,7 +123,7 @@ class TestFdGradient:
 
     def test_matches_per_coordinate_loop(self):
         model, objectives = self._objectives()
-        x0 = flatten(model)
+        x0 = model.theta
         assert x0.size > 3 * FD_BLOCK and x0.size % FD_BLOCK
         for objective in objectives.values():
             stacked = fd_gradient(objective, x0, h=1e-6)
@@ -131,7 +131,7 @@ class TestFdGradient:
 
     def test_one_call_per_block_of_at_most_two_fd_block_rows(self):
         model, objectives = self._objectives()
-        x0 = flatten(model)
+        x0 = model.theta
         rows = []
 
         def counting(v):

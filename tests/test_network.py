@@ -8,7 +8,6 @@ from convexlab.network import (
     ModelFormatError,
     batch_losses,
     deserialize_model,
-    flatten,
     forward,
     init_model,
     serialize_model,
@@ -101,25 +100,25 @@ class TestWeightedBackward:
         model, batch = self._setup(mode, out_dim)
         m = batch.size
         w = np.full(m, 1.0 / m)
-        g = weighted_backward(model, batch, w).flat_grad
+        g = weighted_backward(model, batch, w)
         oracle = np.zeros_like(g)
         for i in range(m):
             single = SampleBatch(batch.inputs[i:i + 1], batch.targets[i:i + 1])
-            oracle += weighted_backward(model, single, np.array([1.0])).flat_grad / m
+            oracle += weighted_backward(model, single, np.array([1.0])) / m
         assert np.abs(g - oracle).max() <= 1e-12
 
     def test_one_hot_weight_selects_sample(self):
         model, batch = self._setup("softmax-ce", 3)
         w = np.zeros(batch.size)
         w[2] = 1.0
-        g = weighted_backward(model, batch, w).flat_grad
+        g = weighted_backward(model, batch, w)
         single = SampleBatch(batch.inputs[2:3], batch.targets[2:3])
-        g_single = weighted_backward(model, single, np.array([1.0])).flat_grad
+        g_single = weighted_backward(model, single, np.array([1.0]))
         assert np.abs(g - g_single).max() <= 1e-15
 
     def test_zero_weights_zero_gradient(self):
         model, batch = self._setup("identity-squared", 1)
-        g = weighted_backward(model, batch, np.zeros(batch.size)).flat_grad
+        g = weighted_backward(model, batch, np.zeros(batch.size))
         assert np.all(g == 0.0)
 
     def test_linearity(self):
@@ -128,9 +127,9 @@ class TestWeightedBackward:
         u = rng.uniform(0, 1, batch.size)
         v = rng.uniform(0, 1, batch.size)
         alpha, beta = 0.3, 1.7
-        g_combo = weighted_backward(model, batch, alpha * u + beta * v).flat_grad
-        g_parts = (alpha * weighted_backward(model, batch, u).flat_grad
-                   + beta * weighted_backward(model, batch, v).flat_grad)
+        g_combo = weighted_backward(model, batch, alpha * u + beta * v)
+        g_parts = (alpha * weighted_backward(model, batch, u)
+                   + beta * weighted_backward(model, batch, v))
         assert np.abs(g_combo - g_parts).max() <= 1e-12
 
     def test_length_mismatch(self):
@@ -154,9 +153,39 @@ class TestWeightedBackward:
                 return nrae(losses, params)
 
             losses = batch_losses(forward(model, batch.inputs).outputs, batch.targets, mode)
-            analytic = weighted_backward(model, batch, sample_weights(losses, params)).flat_grad
-            numeric = fd_gradient(objective, flatten(model), h=1e-6)
+            analytic = weighted_backward(model, batch, sample_weights(losses, params))
+            numeric = fd_gradient(objective, model.theta, h=1e-6)
             assert rel_error(numeric, analytic) < 1e-5
+
+    @pytest.mark.parametrize("mode,out_dim", [
+        ("softmax-ce", 3), ("sigmoid-binary-ce", 1), ("identity-squared", 2),
+    ])
+    def test_flat_gradient_matches_concatenate_oracle(self, mode, out_dim):
+        # per-layer gradients joined by concatenate in the frozen layout;
+        # the backward pass writes them into one buffer instead
+        model, batch = self._setup(mode, out_dim, activation="tanh")
+        w = np.random.default_rng(5).uniform(0, 1, batch.size)
+        cache = forward(model, batch.inputs)
+        f, y = cache.outputs, batch.targets
+        if mode == "softmax-ce":
+            delta = f.copy()
+            delta[np.arange(batch.size), y] -= 1.0
+        elif mode == "sigmoid-binary-ce":
+            delta = f - np.asarray(y, dtype=float).reshape(-1, 1)
+        else:
+            delta = 2.0 * (f - y)
+        delta = delta * w[:, None]
+        parts = []
+        for k in range(model.num_layers - 1, -1, -1):
+            parts.insert(0, np.concatenate([(delta.T @ cache.acts[k]).ravel(), delta.sum(axis=0)]))
+            if k > 0:
+                t = np.tanh(cache.pre_acts[k - 1])
+                delta = (delta @ model.weights[k]) * (1.0 - t * t)
+        oracle = np.concatenate(parts)
+
+        g = weighted_backward(model, batch, w, cache)
+        assert g.shape == (model.param_count,)
+        assert np.array_equal(g, oracle)
 
     def test_relu_gradient_away_from_kinks(self):
         # resample until every pre-activation is well clear of zero, then
@@ -176,24 +205,24 @@ class TestWeightedBackward:
             return np.mean(losses, axis=-1)
 
         uniform = np.full(batch.size, 1.0 / batch.size)
-        analytic = weighted_backward(model, batch, uniform).flat_grad
-        numeric = fd_gradient(objective, flatten(model), h=1e-7)
+        analytic = weighted_backward(model, batch, uniform)
+        numeric = fd_gradient(objective, model.theta, h=1e-7)
         assert rel_error(numeric, analytic) < 1e-5
 
 
 class TestFlatten:
     def test_round_trip_exact(self):
         m = init_model([3, 7, 2], "tanh", "softmax-ce", seed=9)
-        v = flatten(m)
+        v = m.theta
         m2 = unflatten(m, v)
-        assert np.array_equal(flatten(m2), v)
+        assert np.array_equal(m2.theta, v)
         assert all(np.array_equal(a, b) for a, b in zip(m.weights, m2.weights))
 
     def test_ordering_contract(self):
         m = init_model([1, 1], "tanh", "identity-squared", seed=0)
         m.weights[0][0, 0] = 2.0
         m.biases[0][0] = 3.0
-        assert np.array_equal(flatten(m), [2.0, 3.0])
+        assert np.array_equal(m.theta, [2.0, 3.0])
 
     def test_wrong_length(self):
         m = init_model([2, 2], "tanh", "softmax-ce", seed=0)
@@ -201,11 +230,50 @@ class TestFlatten:
             unflatten(m, np.zeros(m.param_count - 1))
 
 
+class TestParameterBuffer:
+    def test_layer_views_share_theta(self):
+        m = init_model([3, 7, 2], "tanh", "softmax-ce", seed=9)
+        for model in (m, unflatten(m, m.theta), deserialize_model(serialize_model(m)), m.copy()):
+            assert model.theta.shape == (m.param_count,)
+            assert all(np.shares_memory(a, model.theta) for a in model.weights + model.biases)
+        m.weights[1][0, 0] = 5.0
+        m.biases[0][2] = -4.0
+        assert m.theta[3 * 7 + 7] == 5.0 and m.theta[3 * 7 + 2] == -4.0
+
+    def test_stacked_layer_views_share_theta(self):
+        m = init_model([3, 7, 2], "tanh", "softmax-ce", seed=9)
+        stack = m.theta + np.arange(4.0)[:, None]
+        sm = unflatten(m, stack)
+        assert sm.theta.shape == (4, m.param_count)
+        assert [w.shape for w in sm.weights] == [(4, 7, 3), (4, 2, 7)]
+        assert [b.shape for b in sm.biases] == [(4, 7), (4, 2)]
+        assert all(np.shares_memory(a, sm.theta) for a in sm.weights + sm.biases)
+        assert np.array_equal(sm.weights[1][2], m.weights[1] + 2.0)
+
+    def test_unflatten_does_not_alias_its_argument(self):
+        m = init_model([3, 7, 2], "tanh", "softmax-ce", seed=9)
+        for v in (m.theta, np.tile(m.theta, (3, 1))):
+            m2 = unflatten(m, v)
+            assert not np.shares_memory(m2.theta, v)
+            before = m2.theta.copy()
+            v += 1.0
+            assert np.array_equal(m2.theta, before)
+
+    def test_copy_is_independent(self):
+        m = init_model([3, 7, 2], "tanh", "softmax-ce", seed=9)
+        c = m.copy()
+        assert not np.shares_memory(c.theta, m.theta)
+        before = m.theta.copy()
+        c.weights[0][0, 0] += 1.0
+        c.biases[1][:] = 9.0
+        assert np.array_equal(m.theta, before)
+
+
 class TestSerialization:
     def test_round_trip_bit_identical(self):
         m = init_model([2, 3, 1], "tanh", "sigmoid-binary-ce", seed=21)
         m2 = deserialize_model(serialize_model(m))
-        assert np.array_equal(flatten(m2), flatten(m))
+        assert np.array_equal(m2.theta, m.theta)
         assert m2.layer_dims == m.layer_dims
         assert (m2.activation, m2.output_mode) == (m.activation, m.output_mode)
 

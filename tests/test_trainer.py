@@ -5,7 +5,7 @@ import pytest
 
 from convexlab.criteria import LAMBDA_MIN, CriterionParams, sample_weights
 from convexlab.data import SampleBatch, synthetic_blobs, synthetic_regression
-from convexlab.network import batch_losses, flatten, forward, init_model, weighted_backward
+from convexlab.network import batch_losses, forward, init_model, weighted_backward
 from convexlab.trainer import (
     Criterion,
     DivergedError,
@@ -44,13 +44,13 @@ class TestSgdStep:
         model.weights[0][:] = 0.0
         batch = SampleBatch(np.ones((4, 2)), np.zeros(4))
         updated, report = sgd_step(model, batch, Criterion("ce", CriterionParams(1.0)), 0.5)
-        assert np.array_equal(flatten(updated), flatten(model))
+        assert np.array_equal(updated.theta, model.theta)
         assert report.criterion_value == 0.0
 
     def test_zero_learning_rate_reports_losses(self):
         model, batch = small_batch()
         updated, report = sgd_step(model, batch, Criterion("ce", CriterionParams(1.0)), 0.0)
-        assert np.array_equal(flatten(updated), flatten(model))
+        assert np.array_equal(updated.theta, model.theta)
         assert report.ce_value > 0
 
     def test_ce_equals_small_lambda_nrae(self):
@@ -62,8 +62,8 @@ class TestSgdStep:
         up_nrae, _ = sgd_step(
             model, batch, Criterion("nrae", CriterionParams(LAMBDA_MIN, p=3)), lr
         )
-        delta_ce = flatten(up_ce) - flatten(model)
-        delta_nrae = flatten(up_nrae) - flatten(model)
+        delta_ce = up_ce.theta - model.theta
+        delta_nrae = up_nrae.theta - model.theta
         scale = np.abs(delta_ce).max()
         assert np.abs(delta_ce - delta_nrae).max() <= 1e-6 * scale
 
@@ -74,7 +74,7 @@ class TestSgdStep:
         params = CriterionParams(2.0)
         up_rae, rep = sgd_step(model, batch, Criterion("rae", params), 0.2)
         up_nrae, _ = sgd_step(model, batch, Criterion("nrae", params), 0.2)
-        assert np.allclose(flatten(up_rae), flatten(up_nrae), atol=1e-15)
+        assert np.array_equal(up_rae.theta, up_nrae.theta)
         assert rep.criterion_value >= 1.0  # raw criterion value, not the log
 
     def test_rae_nrae_gradient_cosine_identity(self):
@@ -84,10 +84,10 @@ class TestSgdStep:
         losses = batch_losses(cache.outputs, batch.targets, model.output_mode)
         s = 400.0 / losses.max()
         params = CriterionParams(lam=s)
-        g_nrae = weighted_backward(model, batch, sample_weights(losses, params)).flat_grad
+        g_nrae = weighted_backward(model, batch, sample_weights(losses, params))
         raw = (s / batch.size) * np.exp(s * losses)
         assert np.all(np.isfinite(raw))
-        g_rae = weighted_backward(model, batch, raw).flat_grad
+        g_rae = weighted_backward(model, batch, raw)
         u = g_rae / np.abs(g_rae).max()
         v = g_nrae / np.abs(g_nrae).max()
         cos = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
@@ -211,7 +211,7 @@ class TestTrainLoop:
                           layer_dims=BLOBS_NET, lambda0=10.0, a=0.1, seed=5)
         r1 = train(cfg, tr, va)
         r2 = train(cfg, tr, va)
-        assert np.array_equal(flatten(r1.final_model), flatten(r2.final_model))
+        assert np.array_equal(r1.final_model.theta, r2.final_model.theta)
         for a, b in zip(r1.records, r2.records):
             # wall_ms is measurement metadata; everything else is exact
             assert (a.epoch, a.train_criterion, a.train_ce, a.val_ce,
@@ -236,8 +236,8 @@ class TestTrainLoop:
         base = dict(learning_rate=0.2, epochs=1, batch_size=40, layer_dims=BLOBS_NET, seed=3)
         ce_rep = train(TrainConfig(strategy="ce", **base), tr, va)
         an_rep = train(TrainConfig(strategy="anrat", lambda0=LAMBDA_MIN, p=2, a=0.0, **base), tr, va)
-        w_ce = flatten(ce_rep.final_model)
-        w_an = flatten(an_rep.final_model)
+        w_ce = ce_rep.final_model.theta
+        w_an = an_rep.final_model.theta
         assert an_rep.final_lambda == LAMBDA_MIN
         assert np.abs(w_ce - w_an).max() <= 1e-5 * max(1.0, np.abs(w_ce).max())
 
@@ -250,6 +250,18 @@ class TestTrainLoop:
             train(cfg, tr, va)
         assert exc.value.epoch >= 0
         assert exc.value.batch_index >= -1
+
+    def test_raw_phase_overflow_is_divergence(self):
+        # one sample, full-batch steps far past the stable step size: the
+        # loss at the switch fits under EXP_CAP at lam = 5, the next epoch's
+        # (19**2 times larger) puts the raw criterion past float range
+        one = SampleBatch(np.ones((1, 1)), np.full(1, 3.0))
+        cfg = TrainConfig(strategy="scheduled", learning_rate=5.0, epochs=3, batch_size=1,
+                          layer_dims=(1, 1), output_mode="identity-squared",
+                          lambda0=10.0, rho=0.5, seed=0)
+        with pytest.raises(DivergedError, match="criterion value inf") as exc:
+            train(cfg, one, one)
+        assert (exc.value.epoch, exc.value.batch_index) == (1, 0)
 
     def test_config_validation(self):
         good = dict(learning_rate=0.1, epochs=1, batch_size=10, layer_dims=(4, 2))
