@@ -15,7 +15,6 @@ that goes with it.
 import numpy as np
 
 from convexlab import SampleBatch, TrainConfig, evaluate, synthetic_blobs, synthetic_regression, train
-from convexlab.network import hidden_unit_cosines
 
 # scaled sine regression: targets x6 so the early per-sample losses are
 # large enough that the scheduled strategy has something to decay through
@@ -70,7 +69,9 @@ b_base = dict(learning_rate=0.3, epochs=10, batch_size=50, layer_dims=(16, 32, 1
 
 
 def mean_cos(model):
-    cos = hidden_unit_cosines(model)[0]
+    w = model.weights[0]  # incoming weight vectors of the hidden units, one per row
+    unit = w / np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-300)
+    cos = unit @ unit.T
     off = np.abs(cos[~np.eye(cos.shape[0], dtype=bool)])
     return float(off.mean())
 

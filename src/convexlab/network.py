@@ -15,6 +15,11 @@ through the same code as a single one, giving (K, m, d_L) outputs and a
 C-contiguous (K, m) loss array whose row k equals, bit for bit, the losses
 of network k alone.  The backward pass takes single models only.
 
+The backward pass takes the activation derivatives from the activations
+cached by `forward`.  Zero-weight rows still go through every product:
+dropping them changes the last bit of some OpenBLAS sums (one kept row
+turns gemm into gemv; width-1 layers sum in a row-count-dependent order).
+
 Models are never mutated by forward/backward, so a model can be shared
 across concurrent evaluations; per-batch reductions run left-to-right by
 sample index, keeping results bit-deterministic.
@@ -78,8 +83,8 @@ class MlpModel:
 
 @dataclass
 class ForwardCache:
-    """Per-layer pre-activations and activations kept for the backward pass.
-    acts[0] is the input batch; acts[-1] is the network output."""
+    """Per-layer pre-activations and activations; the backward pass reads only
+    `acts`.  acts[0] is the input batch, acts[-1] the network output."""
 
     pre_acts: list
     acts: list
@@ -90,12 +95,9 @@ class ForwardCache:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1+e) for z >= 0, else e/(1+e), with e = exp(-|z|): neither overflows
+    e = np.exp(-np.abs(z))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=e)
 
 
 def _activate(z, tag):
@@ -108,23 +110,21 @@ def _activate(z, tag):
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def _activate_grad(z, tag):
-    # derivative with respect to the pre-activation; relu'(0) := 0
+def _activate_grad(a, tag):
+    # d act(z)/dz from the cached activation a = act(z); relu'(0) := 0
     if tag == "sigmoid":
-        s = _sigmoid(z)
-        return s * (1.0 - s)
+        return a * (1.0 - a)
     if tag == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
+        return 1.0 - a * a
     if tag == "relu":
-        return (z > 0).astype(float)
+        return a > 0
     raise ValueError(f"unknown activation {tag!r}")
 
 
 def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _param_count(dims) -> int:
@@ -177,7 +177,8 @@ def forward(model: MlpModel, inputs) -> ForwardCache:
     h = x
     last = model.num_layers - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w.swapaxes(-1, -2) + b[..., None, :]
+        z = h @ w.swapaxes(-1, -2)
+        z += b[..., None, :]
         pre_acts.append(z)
         if k < last:
             h = _activate(z, model.activation)
@@ -237,25 +238,29 @@ def _output_delta(cache: ForwardCache, targets, output_mode) -> np.ndarray:
 def weighted_backward(model: MlpModel, batch, weights, cache: ForwardCache | None = None) -> np.ndarray:
     """One batched backward pass computing sum_i w_i * grad_W(c_i) as an (n,)
     vector laid out like `theta`.  With w_i = 1/m this is the plain
-    mean-loss gradient."""
+    mean-loss gradient.  The activation derivatives come from the cached
+    activations; rows with w_i = 0 are not skipped (see the module
+    docstring)."""
     w_vec = np.asarray(weights, dtype=float)
-    inputs, targets = batch.inputs, batch.targets
-    m = np.asarray(inputs).shape[0] if np.asarray(inputs).ndim > 1 else 1
+    x = np.asarray(batch.inputs)
+    m = x.shape[0] if x.ndim > 1 else 1
     if w_vec.shape != (m,):
         raise ValueError(f"weights must have shape ({m},), got {w_vec.shape}")
     if np.any(w_vec < 0):
         raise ValueError("sample weights must be nonnegative")
     if cache is None:
-        cache = forward(model, inputs)
+        cache = forward(model, x)
 
-    delta = _output_delta(cache, targets, model.output_mode) * w_vec[:, None]
+    delta = _output_delta(cache, batch.targets, model.output_mode)
+    delta *= w_vec[:, None]
     grad = np.empty(model.param_count)
     grads_w, grads_b = _layer_views(grad, model.layer_dims)
     for k in range(model.num_layers - 1, -1, -1):
         np.matmul(delta.T, cache.acts[k], out=grads_w[k])
         delta.sum(axis=0, out=grads_b[k])
         if k > 0:
-            delta = (delta @ model.weights[k]) * _activate_grad(cache.pre_acts[k - 1], model.activation)
+            delta = delta @ model.weights[k]
+            delta *= _activate_grad(cache.acts[k], model.activation)
 
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite gradient")
@@ -323,15 +328,3 @@ def deserialize_model(text: str) -> MlpModel:
             b[r] = vals[-1]
             ln += 1
     return model
-
-
-def hidden_unit_cosines(model: MlpModel) -> list:
-    """Pairwise cosine similarity of hidden-unit incoming weight vectors,
-    one matrix per hidden layer.  Diagnostic for weight duplication at very
-    large lam; nothing is asserted on it."""
-    out = []
-    for w in model.weights[:-1]:
-        norms = np.linalg.norm(w, axis=1, keepdims=True)
-        unit = w / np.maximum(norms, 1e-300)
-        out.append(unit @ unit.T)
-    return out

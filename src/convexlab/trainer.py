@@ -256,32 +256,36 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
         t0 = time.perf_counter()
         crit_sum = ce_sum = 0.0
         seen = 0
-        for bi, batch in enumerate(batches(train_set, config.batch_size, epoch_seed(config.seed, ep))):
+        # overflow or an invalid operation in a step or the evaluation is divergence
+        with np.errstate(over="raise", invalid="raise"):
+            for bi, batch in enumerate(batches(train_set, config.batch_size, epoch_seed(config.seed, ep))):
+                try:
+                    if config.strategy == "anrat":
+                        params = CriterionParams(lam=lam, p=config.p, a=config.a, q=config.q)
+                        model, lam, report = anrat_step(
+                            model, lam, batch, params, config.learning_rate, lam_lr
+                        )
+                    else:
+                        kind = {
+                            "ce": "ce",
+                            "nrae-fixed": "nrae",
+                            "scheduled": "rae" if switched else "nrae",
+                        }[config.strategy]
+                        params = CriterionParams(lam=lam, p=config.p)
+                        model, report = sgd_step(model, batch, Criterion(kind, params), config.learning_rate)
+                except (FloatingPointError, NumericDomainError) as exc:
+                    raise DivergedError(ep, bi, str(exc)) from exc
+                if not np.isfinite(report.criterion_value):
+                    raise DivergedError(ep, bi, f"criterion value {report.criterion_value}")
+                m = batch.size
+                crit_sum += report.criterion_value * m
+                ce_sum += report.ce_value * m
+                seen += m
+                max_loss_seen = max(max_loss_seen, report.max_loss)
             try:
-                if config.strategy == "anrat":
-                    params = CriterionParams(lam=lam, p=config.p, a=config.a, q=config.q)
-                    model, lam, report = anrat_step(
-                        model, lam, batch, params, config.learning_rate, lam_lr
-                    )
-                else:
-                    kind = {
-                        "ce": "ce",
-                        "nrae-fixed": "nrae",
-                        "scheduled": "rae" if switched else "nrae",
-                    }[config.strategy]
-                    params = CriterionParams(lam=lam, p=config.p)
-                    model, report = sgd_step(model, batch, Criterion(kind, params), config.learning_rate)
+                val_ce, val_err = evaluate(model, val_set)
             except (FloatingPointError, NumericDomainError) as exc:
-                raise DivergedError(ep, bi, str(exc)) from exc
-            if not np.isfinite(report.criterion_value):
-                raise DivergedError(ep, bi, f"criterion value {report.criterion_value}")
-            m = batch.size
-            crit_sum += report.criterion_value * m
-            ce_sum += report.ce_value * m
-            seen += m
-            max_loss_seen = max(max_loss_seen, report.max_loss)
-
-        val_ce, val_err = evaluate(model, val_set)
+                raise DivergedError(ep, -1, str(exc)) from exc
         if not (np.isfinite(val_ce) and np.isfinite(val_err)):
             raise DivergedError(ep, -1, "non-finite validation loss")
         if config.strategy == "scheduled":

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,11 @@ from convexlab.criteria import CriterionParams, nrae, sample_weights
 from convexlab.data import SampleBatch
 from convexlab.gradcheck import fd_gradient, rel_error
 from convexlab.network import (
+    ACTIVATIONS,
     ModelFormatError,
+    _activate,
+    _activate_grad,
+    _sigmoid,
     batch_losses,
     deserialize_model,
     forward,
@@ -78,6 +84,47 @@ class TestForward:
         a = forward(m, x).outputs
         b = forward(m, x).outputs
         assert np.array_equal(a, b)
+
+
+def _masked_sigmoid(z):
+    # reference: the two branches evaluated through boolean masks
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _grad_from_pre_activation(z, tag):
+    # reference: the activation derivative recomputed from the pre-activation z
+    if tag == "sigmoid":
+        s = _masked_sigmoid(z)
+        return s * (1.0 - s)
+    if tag == "tanh":
+        t = np.tanh(z)
+        return 1.0 - t * t
+    return (z > 0).astype(float)
+
+
+def _all_rows_backward(model, batch, w, cache):
+    # every row through every layer, zero weights included, derivatives from z
+    f, y = cache.outputs, batch.targets
+    if model.output_mode == "softmax-ce":
+        delta = f.copy()
+        delta[np.arange(batch.size), y] -= 1.0
+    elif model.output_mode == "sigmoid-binary-ce":
+        delta = f - np.asarray(y, dtype=float).reshape(-1, 1)
+    else:
+        delta = 2.0 * (f - np.asarray(y, dtype=float).reshape(batch.size, -1))
+    delta = delta * w[:, None]
+    parts = []
+    for k in range(model.num_layers - 1, -1, -1):
+        parts.insert(0, np.concatenate([(delta.T @ cache.acts[k]).ravel(), delta.sum(axis=0)]))
+        if k > 0:
+            act_grad = _grad_from_pre_activation(cache.pre_acts[k - 1], model.activation)
+            delta = (delta @ model.weights[k]) * act_grad
+    return np.concatenate(parts)
 
 
 class TestWeightedBackward:
@@ -166,26 +213,9 @@ class TestWeightedBackward:
         model, batch = self._setup(mode, out_dim, activation="tanh")
         w = np.random.default_rng(5).uniform(0, 1, batch.size)
         cache = forward(model, batch.inputs)
-        f, y = cache.outputs, batch.targets
-        if mode == "softmax-ce":
-            delta = f.copy()
-            delta[np.arange(batch.size), y] -= 1.0
-        elif mode == "sigmoid-binary-ce":
-            delta = f - np.asarray(y, dtype=float).reshape(-1, 1)
-        else:
-            delta = 2.0 * (f - y)
-        delta = delta * w[:, None]
-        parts = []
-        for k in range(model.num_layers - 1, -1, -1):
-            parts.insert(0, np.concatenate([(delta.T @ cache.acts[k]).ravel(), delta.sum(axis=0)]))
-            if k > 0:
-                t = np.tanh(cache.pre_acts[k - 1])
-                delta = (delta @ model.weights[k]) * (1.0 - t * t)
-        oracle = np.concatenate(parts)
-
         g = weighted_backward(model, batch, w, cache)
         assert g.shape == (model.param_count,)
-        assert np.array_equal(g, oracle)
+        assert np.array_equal(g, _all_rows_backward(model, batch, w, cache))
 
     def test_relu_gradient_away_from_kinks(self):
         # resample until every pre-activation is well clear of zero, then
@@ -208,6 +238,72 @@ class TestWeightedBackward:
         analytic = weighted_backward(model, batch, uniform)
         numeric = fd_gradient(objective, model.theta, h=1e-7)
         assert rel_error(numeric, analytic) < 1e-5
+
+
+class TestKernelsBitIdentical:
+    SPECIALS = (0.0, 1e-320, 709.8, 745.0, 800.0, np.inf)
+
+    def test_sigmoid_equals_masked_formula(self):
+        specials = np.array(self.SPECIALS)
+        grid = np.concatenate([np.linspace(-800.0, 800.0, 40000), np.linspace(-40.0, 40.0, 40000)])
+        z = np.concatenate([grid, specials, -specials])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(z)
+            stacked = _sigmoid(grid.reshape(4, 100, 200))
+        assert np.array_equal(got, _masked_sigmoid(z))
+        assert np.array_equal(stacked, _masked_sigmoid(grid).reshape(4, 100, 200))
+        assert got[-1] == 0.0 and got[-len(specials) - 1] == 1.0  # -inf and +inf
+        assert not np.signbit(_sigmoid(np.array([-0.0, -800.0]))).any()
+
+    @pytest.mark.parametrize("tag", ACTIVATIONS)
+    def test_derivative_from_activation_equals_from_pre_activation(self, tag):
+        rng = np.random.default_rng(6)
+        z = np.concatenate([rng.normal(scale=4.0, size=5000), np.linspace(-50.0, 50.0, 2001),
+                            [0.0, -0.0, 1e-320, -1e-320, 709.8, -709.8]])
+        delta = rng.normal(size=z.shape)
+        got = delta * _activate_grad(_activate(z, tag), tag)
+        assert np.array_equal(got, delta * _grad_from_pre_activation(z, tag))
+        if tag == "relu":
+            assert not _activate_grad(_activate(np.array([0.0, -0.0]), tag), tag).any()
+
+    @pytest.mark.parametrize("mode,out_dim", [
+        ("softmax-ce", 10), ("sigmoid-binary-ce", 1), ("identity-squared", 3),
+    ])
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_zero_weight_rows_equal_all_rows_oracle(self, mode, out_dim, act):
+        # a backward that drops zero-weight rows must pass this too; on
+        # OpenBLAS a plain compaction fails the width-1 and one-row cases
+        rng = np.random.default_rng(7)
+        m = 100
+        model = init_model([30, 24, out_dim], act, mode, seed=7)
+        x = rng.normal(size=(m, 30))
+        if mode == "softmax-ce":
+            y = rng.integers(0, out_dim, size=m)
+        elif mode == "sigmoid-binary-ce":
+            y = rng.integers(0, 2, size=m)
+        else:
+            y = rng.normal(size=(m, out_dim))
+        batch = SampleBatch(x, y)
+        cache = forward(model, x)
+        sparse = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) < 0.1)
+        one = np.zeros(m)
+        one[37] = 0.25
+        # a large-lam tilt, where most weights underflow to exactly 0
+        tilted = sample_weights(batch_losses(cache.outputs, y, mode), CriterionParams(lam=1e4, p=1))
+        for w in (sparse, one, tilted):
+            assert np.count_nonzero(w) < m
+            g = weighted_backward(model, batch, w, cache)
+            assert np.array_equal(g, _all_rows_backward(model, batch, w, cache))
+
+    def test_zero_weight_rows_equal_all_rows_oracle_at_desk_scale(self):
+        rng = np.random.default_rng(8)
+        model = init_model([784, 128, 10], "sigmoid", "softmax-ce", seed=8)
+        batch = SampleBatch(rng.uniform(size=(100, 784)), rng.integers(0, 10, size=100))
+        cache = forward(model, batch.inputs)
+        w = rng.uniform(0.0, 1.0, 100) * (rng.uniform(size=100) < 0.1)
+        g = weighted_backward(model, batch, w, cache)
+        assert np.array_equal(g, _all_rows_backward(model, batch, w, cache))
 
 
 class TestFlatten:

@@ -263,6 +263,19 @@ class TestTrainLoop:
             train(cfg, one, one)
         assert (exc.value.epoch, exc.value.batch_index) == (1, 0)
 
+    def test_evaluation_overflow_is_divergence(self):
+        # the weights blow up during epoch 3 and the hold-out evaluation's
+        # squared error overflows: that is DivergedError, not a RuntimeWarning
+        # (which the test filter would raise in its place)
+        full = synthetic_regression("sine", 200, 0.0, seed=0)
+        full = SampleBatch(full.inputs, 0.2 * full.targets)
+        cfg = TrainConfig(strategy="scheduled", learning_rate=5.0, epochs=6, batch_size=10,
+                          layer_dims=(1, 8, 1), output_mode="identity-squared",
+                          lambda0=100.0, rho=0.5, p=2, seed=0)
+        with pytest.raises(DivergedError, match="overflow") as exc:
+            train(cfg, full, full)
+        assert (exc.value.epoch, exc.value.batch_index) == (3, -1)
+
     def test_config_validation(self):
         good = dict(learning_rate=0.1, epochs=1, batch_size=10, layer_dims=(4, 2))
         with pytest.raises(ValueError):
