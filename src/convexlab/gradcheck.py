@@ -14,12 +14,14 @@ cancel, and a plain double-precision difference quotient has a round-off
 floor above the tolerance being enforced.
 
 The weight-gradient oracle `fd_gradient` takes a stacked objective: a
-function from a (K, n) stack of parameter vectors to its K values.  It
-probes FD_BLOCK coordinates per call, so a case with n parameters costs
-ceil(n / FD_BLOCK) stacked forward passes instead of 2n single ones, and
-each stack holds at most 2 * FD_BLOCK vectors.  `unflatten`, `forward`,
-`batch_losses` and `nrae` all accept such stacks, and the value for each
-row equals, bit for bit, the value of that vector on its own.
+function from a (K, n) stack of parameter vectors to its K values, or to a
+(K, C) array of C criteria per vector.  It probes FD_BLOCK coordinates per
+call, and `check_case` reads the nrae and the mean-loss criteria off the
+same loss matrix, so a case with n parameters costs ceil(n / FD_BLOCK)
+stacked forward passes for both oracles together instead of 4n single
+ones, and each stack holds at most 2 * FD_BLOCK vectors.  `unflatten`,
+`forward`, `batch_losses` and `nrae` all accept such stacks, and the value
+for each row equals, bit for bit, the value of that vector on its own.
 """
 
 from __future__ import annotations
@@ -86,15 +88,17 @@ class GradCheckSummary:
 def fd_gradient(objective, x, h: float = 1e-6) -> np.ndarray:
     """Central difference quotient per coordinate of a stacked objective.
 
-    `objective` maps a (K, n) stack of parameter vectors to its K values.
+    `objective` maps a (K, n) stack of parameter vectors to its K values,
+    giving the (n,) gradient, or to a (K, C) array of C criteria per vector,
+    giving the (C, n) stack of their gradients from one pass of probes.
     The probes x + h*e_i and x - h*e_i go in blocks of at most FD_BLOCK
     coordinates, one call per block on a (2 * block, n) stack: the plus
     probes of the block in coordinate order, then the minus probes.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"x must be a flat parameter vector, got shape {x.shape}")
-    grad = np.empty_like(x)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"x must be a non-empty flat parameter vector, got shape {x.shape}")
+    grad = None
     for lo in range(0, x.size, FD_BLOCK):
         coords = np.arange(lo, min(lo + FD_BLOCK, x.size))
         k = coords.size
@@ -102,9 +106,11 @@ def fd_gradient(objective, x, h: float = 1e-6) -> np.ndarray:
         probes[np.arange(k), coords] += h
         probes[np.arange(k, 2 * k), coords] -= h
         values = np.asarray(objective(probes), dtype=float)
-        if values.shape != (2 * k,):
+        if grad is None and values.ndim in (1, 2):
+            grad = np.empty(values.shape[1:] + x.shape)
+        if grad is None or values.shape != (2 * k,) + grad.shape[:-1]:
             raise ValueError(f"stacked objective returned shape {values.shape} for {2 * k} probes")
-        grad[coords] = (values[:k] - values[k:]) / (2.0 * h)
+        grad[..., coords] = ((values[:k] - values[k:]) / (2.0 * h)).T
     return grad
 
 
@@ -186,24 +192,23 @@ def check_case(case: GradCheckCase, h: float = 1e-6) -> tuple:
     """(weight rel err, lam rel err) for one configuration."""
     model, batch, params = _case_problem(case)
 
-    def losses_at(stack):
+    def criteria_at(stack):
+        # nrae and the plain mean loss of each probe, from one loss matrix
         m = unflatten(model, stack)
-        return batch_losses(forward(m, batch.inputs).outputs, batch.targets, m.output_mode)
+        c = batch_losses(forward(m, batch.inputs).outputs, batch.targets, m.output_mode)
+        return np.stack([nrae(c, params), np.mean(c, axis=-1)], axis=-1)
 
     cache = forward(model, batch.inputs)
     losses = batch_losses(cache.outputs, batch.targets, model.output_mode)
+    numeric, numeric_ce = fd_gradient(criteria_at, model.theta, h)
 
     # criterion gradient through the weighted backward pass
     w = sample_weights(losses, params)
-    analytic = weighted_backward(model, batch, w, cache)
-    numeric = fd_gradient(lambda v: nrae(losses_at(v), params), model.theta, h)
-    weight_err = rel_error(numeric, analytic)
+    weight_err = rel_error(numeric, weighted_backward(model, batch, w, cache))
 
     # plain mean-loss gradient (uniform weights) against the same oracle
     uniform = np.full(batch.size, 1.0 / batch.size)
-    analytic_ce = weighted_backward(model, batch, uniform, cache)
-    numeric_ce = fd_gradient(lambda v: np.mean(losses_at(v), axis=-1), model.theta, h)
-    weight_err = max(weight_err, rel_error(numeric_ce, analytic_ce))
+    weight_err = max(weight_err, rel_error(numeric_ce, weighted_backward(model, batch, uniform, cache)))
 
     lam_err = rel_error(fd_lambda_gradient(losses, params, h), anrat_grad_lambda(losses, params))
     return weight_err, lam_err
