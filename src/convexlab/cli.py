@@ -1,11 +1,15 @@
 """Command-line front end: `fetch`, `train`, `gridsearch`, `gradcheck`,
 `scan`, and `eval`.
 
-Configuration is a flat key=value file (one pair per line, `#` comments)
-merged with command-line overrides; unknown keys are rejected.  The
-effective configuration of every run is echoed to `<run>.resolved.cfg` so
-the run can be reproduced from it.  Exit codes are stable: 0 ok, 1
-config/usage, 2 transport, 3 training failure, 4 verification failure.
+Configuration is one flat key=value mapping (`KEY_SPECS`), built in layers:
+defaults, then the `--config` file (one pair per line, `#` comments), then
+`--set key=value` overrides, then the command's flags.  Every flag is a
+shorthand for `--set` on one key (`COMMANDS`), so each value, whatever its
+source, is checked by its key's parser before any data is loaded; unknown
+keys are rejected.  `train`, `gridsearch` and `scan` echo the effective
+configuration to `<run>.resolved.cfg`, which reproduces the run.  Exit codes
+are stable: 0 ok, 1 config/usage, 2 transport, 3 training failure, 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .gradcheck import run_gradcheck
 from .network import deserialize_model, init_model, serialize_model
 from .seeds import rng_for
 from .trainer import (
+    STRATEGIES,
     DivergedError,
     NoViableModelError,
     TrainConfig,
@@ -63,6 +68,18 @@ def _ints(text):
     return tuple(int(tok) for tok in str(text).replace(",", " ").split())
 
 
+def _float_or_auto(text):
+    return "auto" if text == "auto" else float(text)
+
+
+def _choice(*names):
+    def parse(text):
+        if text not in names:
+            raise ValueError(f"expected one of {' | '.join(map(repr, names))}")
+        return text
+    return parse
+
+
 _REQUIRED = object()
 
 # key -> (default, parser, help); _REQUIRED keys must come from the config
@@ -74,11 +91,10 @@ KEY_SPECS = {
     "run_name": ("run", str, "prefix for this run's output files"),
     "mnist_base_url": (DEFAULT_MNIST_URL, str, "base URL of the four MNIST .gz files"),
     # dataset
-    "dataset": ("mnist", str, "mnist | blobs | sine | peak"),
+    "dataset": ("mnist", _choice("mnist", "blobs", "sine", "peak"), "mnist | blobs | sine | peak"),
     "train_count": (5000, int, "training samples drawn from the source"),
     "val_count": (1000, int, "hold-out validation samples"),
     "test_count": (1000, int, "test samples (from the designated test source)"),
-    "samples": (200, int, "synthetic dataset size per partition unit"),
     "noise_sd": (0.0, float, "observation noise for synthetic regression"),
     "blob_classes": (10, int, "classes for the blobs dataset"),
     "blob_dim": (16, int, "input dimension for the blobs dataset"),
@@ -87,9 +103,9 @@ KEY_SPECS = {
     "activation": ("tanh", str, "hidden activation: sigmoid | tanh | relu"),
     "output_mode": ("auto", str, "softmax-ce | sigmoid-binary-ce | identity-squared | auto"),
     # training
-    "strategy": (_REQUIRED, str, "ce | nrae-fixed | scheduled | anrat"),
+    "strategy": (_REQUIRED, _choice(*STRATEGIES), " | ".join(STRATEGIES)),
     "learning_rate": (0.5, float, "SGD step size for the weights"),
-    "lambda_lr": ("auto", str, "step size for lam (anrat); auto = learning_rate"),
+    "lambda_lr": ("auto", _float_or_auto, "step size for lam (anrat); auto = learning_rate"),
     "epochs": (20, int, "training epochs"),
     "batch_size": (100, int, "SGD batch size"),
     "lambda0": (10.0, float, "initial convexity index (scheduled default: 100)"),
@@ -117,7 +133,7 @@ KEY_SPECS = {
     "target_scale": (6.0, float, "target amplitude of the scan dataset (scales the losses "
                                  "so the tilt is strong already at small lam)"),
     "scan_h": (1e-4, float, "Hessian finite-difference step"),
-    "preset": ("", str, "scan preset: '' | logistic"),
+    "preset": ("", _choice("", "logistic"), "scan preset: '' | logistic"),
     # eval
     "model": ("", str, "path of a serialized model file"),
 }
@@ -182,37 +198,33 @@ class RunConfig:
                 val = ",".join(repr(v) if isinstance(v, float) else str(v) for v in val)
             elif isinstance(val, float):
                 val = repr(val)
-            elif isinstance(val, bool):
-                val = "true" if val else "false"
             lines.append(f"{key} = {val}")
         return "\n".join(lines) + "\n"
 
 
 def _build_config(args) -> RunConfig:
-    file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    """Defaults < --config file < --set < the command's flags.  Every value
+    given is parsed here, so a bad one is named before any data is loaded."""
+    file_values = parse_config_file(args.config) if args.config else {}
     overrides = {}
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or ():
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
         overrides[key.strip()] = val.strip()
-    for flag, key in (("seed", "seed"), ("data_dir", "data_dir"), ("out", "out"),
-                      ("run_name", "run_name"), ("strategy", "strategy")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[key] = str(val)
+    for key in {**COMMON_FLAGS, **COMMANDS[args.command][2]}.values():
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     cfg = RunConfig(file_values, overrides)
+    for key in KEY_SPECS:
+        if cfg.was_set(key):
+            cfg.get(key)
     # strategy-conditional default, resolved here so the echoed config
     # reproduces the run rather than re-deriving a different lambda0
     if cfg.raw["strategy"] == "scheduled" and not cfg.was_set("lambda0"):
         cfg.raw["lambda0"] = 100.0
         cfg.explicit.add("lambda0")
     return cfg
-
-
-def _resolve_data_dir(cfg: RunConfig) -> str:
-    explicit = cfg.get("data_dir") or None
-    return default_data_dir(explicit)
 
 
 def _out_path(cfg: RunConfig, suffix: str) -> str:
@@ -234,21 +246,19 @@ def _load_datasets(cfg: RunConfig):
     seed = cfg.get("seed")
     n_train, n_val, n_test = cfg.get("train_count"), cfg.get("val_count"), cfg.get("test_count")
     if name == "mnist":
-        source_train, source_test = load_mnist(_resolve_data_dir(cfg))
+        source_train, source_test = load_mnist(default_data_dir(cfg.get("data_dir") or None))
         spec = SplitSpec(n_train, n_val, n_test, shuffle_seed=seed)
         tr, va, te = split(source_train, source_test, spec)
         return tr, va, te, "softmax-ce"
+    total = n_train + n_val + n_test
     if name == "blobs":
-        total = n_train + n_val + n_test
         full = synthetic_blobs(total, cfg.get("blob_classes"), cfg.get("blob_dim"), seed)
-        parts = np.split(np.arange(total), [n_train, n_train + n_val])
-        return full.take(parts[0]), full.take(parts[1]), full.take(parts[2]), "softmax-ce"
-    if name in ("sine", "peak"):
-        total = n_train + n_val + n_test
+        mode = "softmax-ce"
+    else:
         full = synthetic_regression(name, total, cfg.get("noise_sd"), seed)
-        parts = np.split(np.arange(total), [n_train, n_train + n_val])
-        return full.take(parts[0]), full.take(parts[1]), full.take(parts[2]), "identity-squared"
-    raise ConfigError(f"unknown dataset {cfg.raw['dataset']!r}")
+        mode = "identity-squared"
+    parts = np.split(np.arange(total), [n_train, n_train + n_val])
+    return full.take(parts[0]), full.take(parts[1]), full.take(parts[2]), mode
 
 
 def _train_config(cfg: RunConfig, output_mode: str, strategy=None) -> TrainConfig:
@@ -256,10 +266,7 @@ def _train_config(cfg: RunConfig, output_mode: str, strategy=None) -> TrainConfi
     mode = cfg.get("output_mode")
     if mode == "auto":
         mode = output_mode
-    lambda0 = cfg.get("lambda0")
-    lambda_lr = None
-    if strategy == "anrat" and cfg.raw["lambda_lr"] != "auto":
-        lambda_lr = float(cfg.raw["lambda_lr"])
+    lambda_lr = cfg.get("lambda_lr")
     return TrainConfig(
         strategy=strategy,
         learning_rate=cfg.get("learning_rate"),
@@ -268,8 +275,8 @@ def _train_config(cfg: RunConfig, output_mode: str, strategy=None) -> TrainConfi
         layer_dims=cfg.get("net"),
         activation=cfg.get("activation"),
         output_mode=mode,
-        lambda_lr=lambda_lr,
-        lambda0=lambda0,
+        lambda_lr=lambda_lr if strategy == "anrat" and lambda_lr != "auto" else None,
+        lambda0=cfg.get("lambda0"),
         p=cfg.get("p"),
         a=cfg.get("a"),
         q=cfg.get("q"),
@@ -280,9 +287,8 @@ def _train_config(cfg: RunConfig, output_mode: str, strategy=None) -> TrainConfi
     ).validate()
 
 
-def cmd_fetch(args) -> int:
-    cfg = _build_config(args)
-    dest = _resolve_data_dir(cfg)
+def cmd_fetch(cfg: RunConfig) -> int:
+    dest = default_data_dir(cfg.get("data_dir") or None)
     from .data import MNIST_FILES
     cached = all(os.path.exists(os.path.join(dest, n)) for n in MNIST_FILES)
     paths = fetch_mnist(cfg.get("mnist_base_url"), dest)
@@ -293,8 +299,7 @@ def cmd_fetch(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _build_config(args)
+def cmd_train(cfg: RunConfig) -> int:
     train_set, val_set, test_set, inferred = _load_datasets(cfg)
     tc = _train_config(cfg, inferred)
     _echo_resolved(cfg)
@@ -313,18 +318,11 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_gridsearch(args) -> int:
-    cfg = _build_config(args)
-    single = (args.lr is not None, args.a is not None)
-    grids = (args.lr_grid is not None, args.a_grid is not None)
-    if (single[0] and grids[0]) or (single[1] and grids[1]):
-        raise ConfigError("give either a single point (--lr/--a) or a grid, not both")
-    lr_grid = (args.lr,) if args.lr is not None else (_floats(args.lr_grid) if args.lr_grid else cfg.get("lr_grid"))
-    a_grid = (args.a,) if args.a is not None else (_floats(args.a_grid) if args.a_grid else cfg.get("a_grid"))
+def cmd_gridsearch(cfg: RunConfig) -> int:
     train_set, val_set, test_set, inferred = _load_datasets(cfg)
     base = _train_config(cfg, inferred, strategy="anrat")
     _echo_resolved(cfg)
-    result = grid_search(base, train_set, val_set, lr_grid, a_grid)
+    result = grid_search(base, train_set, val_set, cfg.get("lr_grid"), cfg.get("a_grid"))
     path = _out_path(cfg, ".grid.csv")
     write_grid_csv(result.rows, path)
     best = result.best_row
@@ -336,16 +334,12 @@ def cmd_gridsearch(args) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _build_config(args)
-    lambdas = (args.lam,) if args.lam is not None else cfg.get("gc_lambdas")
-    ps = (args.p,) if args.p is not None else cfg.get("gc_ps")
-    tol_w = args.tolerance if args.tolerance is not None else cfg.get("gc_tolerance")
-    tol_l = args.tolerance_lambda if args.tolerance_lambda is not None else cfg.get("gc_tolerance_lambda")
+def cmd_gradcheck(cfg: RunConfig) -> int:
+    tol_w, tol_l = cfg.get("gc_tolerance"), cfg.get("gc_tolerance_lambda")
     summary = run_gradcheck(
         num_cases=cfg.get("gc_cases"),
-        lambdas=lambdas,
-        ps=ps,
+        lambdas=cfg.get("gc_lambdas"),
+        ps=cfg.get("gc_ps"),
         tol_weights=tol_w,
         tol_lambda=tol_l,
         h=cfg.get("gc_h"),
@@ -365,23 +359,19 @@ def cmd_gradcheck(args) -> int:
 
 def _scan_problem(cfg: RunConfig):
     seed = cfg.get("seed")
-    preset = cfg.get("preset")
-    if preset == "logistic":
+    if cfg.get("preset") == "logistic":
         rng = rng_for(seed, "scan-data")
         x = rng.uniform(-2.0, 2.0, size=cfg.get("scan_samples"))
         dataset = SampleBatch(x[:, None], (x > 0).astype(np.int64))
         template = init_model([1, 1], "tanh", "sigmoid-binary-ce", seed)
         return template, dataset
-    if preset:
-        raise ConfigError(f"unknown scan preset {preset!r}")
     base = synthetic_regression("sine", cfg.get("scan_samples"), cfg.get("noise_sd"), seed)
     dataset = SampleBatch(base.inputs, cfg.get("target_scale") * base.targets)
     template = init_model(cfg.get("net"), cfg.get("activation"), "identity-squared", seed)
     return template, dataset
 
 
-def cmd_scan(args) -> int:
-    cfg = _build_config(args)
+def cmd_scan(cfg: RunConfig) -> int:
     template, dataset = _scan_problem(cfg)
     _echo_resolved(cfg)
     scan = scan_convexity(
@@ -406,9 +396,8 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = _build_config(args)
-    model_path = args.model or cfg.get("model")
+def cmd_eval(cfg: RunConfig) -> int:
+    model_path = cfg.get("model")
     if not model_path:
         raise ConfigError("missing required key 'model' (or --model PATH)")
     with open(model_path) as fh:
@@ -419,77 +408,60 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--data-dir", dest="data_dir", help="dataset directory")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--run-name", dest="run_name", help="output file prefix")
-    sub.add_argument("--set", action="append", metavar="KEY=VALUE",
-                     help="override any config key (repeatable)")
+# Each flag is a shorthand for `--set KEY=VALUE` on the config key it maps
+# to; flags that set the same key exclude each other.
+COMMON_FLAGS = {"--seed": "seed", "--data-dir": "data_dir", "--out": "out", "--run-name": "run_name"}
+
+# command -> (function, help, flags)
+COMMANDS = {
+    "fetch": (cmd_fetch, "download the MNIST IDX files", {}),
+    "train": (cmd_train, "train one strategy, write metrics CSV and best model",
+              {"--strategy": "strategy"}),
+    "gridsearch": (cmd_gridsearch, "grid-search (learning rate, penalty weight)",
+                   {"--lr": "lr_grid", "--lr-grid": "lr_grid", "--a": "a_grid", "--a-grid": "a_grid"}),
+    "gradcheck": (cmd_gradcheck, "finite-difference verification of the derivatives",
+                  {"--lambda": "gc_lambdas", "--p": "gc_ps", "--tolerance": "gc_tolerance",
+                   "--tolerance-lambda": "gc_tolerance_lambda"}),
+    "scan": (cmd_scan, "convexity-region scan over weight space",
+             {"--net": "net", "--lambdas": "lambdas", "--points": "points",
+              "--box-radius": "box_radius", "--preset": "preset"}),
+    "eval": (cmd_eval, "evaluate a serialized model on the test set", {"--model": "model"}),
+}
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1 like any other config error, not with argparse's
+    2, which is EXIT_TRANSPORT here."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="convexlab",
         description="Convexified loss criteria: training, verification, and convexity scans.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("fetch", help="download the MNIST IDX files")
-    _add_common(p)
-    p.set_defaults(fn=cmd_fetch)
-
-    p = subs.add_parser("train", help="train one strategy, write metrics CSV and best model")
-    _add_common(p)
-    p.add_argument("--strategy", choices=("ce", "nrae-fixed", "scheduled", "anrat"))
-    p.set_defaults(fn=cmd_train)
-
-    p = subs.add_parser("gridsearch", help="grid-search (learning rate, penalty weight)")
-    _add_common(p)
-    p.add_argument("--lr", type=float, help="single learning rate instead of the grid")
-    p.add_argument("--a", type=float, help="single penalty weight instead of the grid")
-    p.add_argument("--lr-grid", dest="lr_grid", help="comma separated learning-rate grid")
-    p.add_argument("--a-grid", dest="a_grid", help="comma separated penalty-weight grid")
-    p.set_defaults(fn=cmd_gridsearch)
-
-    p = subs.add_parser("gradcheck", help="finite-difference verification of the derivatives")
-    _add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float, help="check a single lam value")
-    p.add_argument("--p", type=int, help="check a single exponent p")
-    p.add_argument("--tolerance", type=float, help="weight-gradient tolerance")
-    p.add_argument("--tolerance-lambda", dest="tolerance_lambda", type=float,
-                   help="lam-derivative tolerance")
-    p.set_defaults(fn=cmd_gradcheck)
-
-    p = subs.add_parser("scan", help="convexity-region scan over weight space")
-    _add_common(p)
-    p.add_argument("--net", help="layer sizes, e.g. 1,3,1")
-    p.add_argument("--lambdas", help="ascending lam list, e.g. 1,2,4,8")
-    p.add_argument("--points", type=int)
-    p.add_argument("--box-radius", dest="box_radius", type=float)
-    p.add_argument("--preset", choices=("logistic",))
-    p.set_defaults(fn=cmd_scan)
-
-    p = subs.add_parser("eval", help="evaluate a serialized model on the test set")
-    _add_common(p)
-    p.add_argument("--model", help="path of a serialized model file")
-    p.set_defaults(fn=cmd_eval)
-
+    for name, (fn, help_text, flags) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="flat key=value config file")
+        sub.add_argument("--set", action="append", metavar="KEY=VALUE",
+                         help="override any config key (repeatable)")
+        groups = {}
+        for flag, key in {**COMMON_FLAGS, **flags}.items():
+            if key not in groups:
+                groups[key] = sub.add_mutually_exclusive_group()
+            groups[key].add_argument(flag, dest=key, metavar="VALUE",
+                                     help=f"{KEY_SPECS[key][2]} (sets {key})")
+        sub.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # scan flags map onto config keys
-    for flag, key in (("net", "net"), ("lambdas", "lambdas"), ("points", "points"),
-                      ("box_radius", "box_radius"), ("preset", "preset")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            args.set = (args.set or []) + [f"{key}={val}"]
     try:
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        return args.fn(_build_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

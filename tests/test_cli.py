@@ -1,5 +1,6 @@
 import gzip
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from convexlab.cli import (
     EXIT_TRAINING,
     EXIT_TRANSPORT,
     EXIT_VERIFICATION,
+    KEY_SPECS,
     ConfigError,
     RunConfig,
     main,
@@ -54,12 +56,14 @@ class TestConfigParsing:
             RunConfig({}, {"nope": "1"})
 
     def test_removed_switch_cap_key_exit_1(self, tmp_path, capsys):
-        # the scheduled switch always uses EXP_CAP; an old config that still
-        # sets the cap is refused, not silently ignored
-        cfg_file = tmp_path / "old.cfg"
-        cfg_file.write_text("strategy = scheduled\nswitch_cap = 700\n")
-        assert run(["train", "--config", cfg_file, "--out", tmp_path / "out"] + SINE_TRAIN) == EXIT_CONFIG
-        assert "unknown key 'switch_cap'" in capsys.readouterr().err
+        # the scheduled switch always uses EXP_CAP, and no code read the
+        # synthetic `samples` size; an old config that still sets either is
+        # refused, not silently ignored
+        for key in ("switch_cap", "samples"):
+            cfg_file = tmp_path / "old.cfg"
+            cfg_file.write_text(f"strategy = scheduled\n{key} = 200\n")
+            assert run(["train", "--config", cfg_file, "--out", tmp_path / "out"] + SINE_TRAIN) == EXIT_CONFIG
+            assert f"unknown key {key!r}" in capsys.readouterr().err
 
     def test_missing_required_key_named(self):
         cfg = RunConfig({}, {})
@@ -72,13 +76,28 @@ class TestConfigParsing:
             cfg.get("epochs")
 
     def test_resolved_text_round_trips(self, tmp_path):
-        cfg = RunConfig({}, {"strategy": "ce", "seed": "9", "lambdas": "1,2,4"})
+        cfg = RunConfig({}, {"strategy": "ce", "seed": "9", "lambdas": "1,2,4", "lambda_lr": "0.25"})
         text = cfg.resolved_text()
         path = tmp_path / "resolved.cfg"
         path.write_text(text)
         cfg2 = RunConfig(parse_config_file(path), {})
-        for key in ("seed", "strategy", "lambdas", "learning_rate", "net"):
+        for key in KEY_SPECS:
             assert cfg.get(key) == cfg2.get(key)
+
+    @pytest.mark.parametrize("argv, named", [
+        (["train", "--strategy", "bogus"], "'strategy'"),
+        (["train", "--set", "strategy=bogus"], "'strategy'"),
+        (["scan", "--preset", "bogus"], "'preset'"),
+        (["scan", "--points", "many"], "'points'"),
+        (["train", "--strategy", "ce", "--bogus", "1"], "--bogus"),
+    ], ids=["bad-choice", "bad-choice-set", "bad-preset", "bad-int", "unknown-flag"])
+    def test_usage_error_exit_1(self, tmp_path, capsys, argv, named):
+        # a bad value or unknown flag is named before any data is loaded
+        # (the data dir is empty) and exits 1, not argparse's 2
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run(argv + ["--data-dir", empty, "--out", tmp_path]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -171,6 +190,14 @@ class TestGridsearchCommand:
         assert rows[0] == "lr,a,best_val_ce,best_val_error,status"
         assert len(rows) == 2
 
+    def test_resolved_config_reproduces_single_point(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run(["gridsearch", "--lr", "0.05", "--a", "0.1", "--seed", "2",
+                    "--out", out1, "--run-name", "g"] + self.GRID_ARGS) == EXIT_OK
+        assert run(["gridsearch", "--config", out1 / "g.resolved.cfg",
+                    "--out", out2]) == EXIT_OK
+        assert (out1 / "g.grid.csv").read_bytes() == (out2 / "g.grid.csv").read_bytes()
+
     def test_conflicting_flags_exit_1(self, tmp_path):
         rc = run(["gridsearch", "--lr", "0.05", "--lr-grid", "0.1,0.05",
                   "--out", tmp_path] + self.GRID_ARGS)
@@ -189,9 +216,13 @@ class TestGradcheckCommand:
     def test_pass(self):
         assert run(["gradcheck", "--set", "gc_cases=12"]) == EXIT_OK
 
-    def test_single_lambda_p(self):
-        assert run(["gradcheck", "--lambda", "100", "--p", "2",
-                    "--set", "gc_cases=8"]) == EXIT_OK
+    def test_single_lambda_p(self, capsys):
+        def printed(args):
+            assert run(["gradcheck", "--set", "gc_cases=8"] + args) == EXIT_OK
+            return re.sub(r"in [0-9.]+s", "", capsys.readouterr().out)
+
+        assert printed(["--lambda", "100", "--p", "2"]) == \
+            printed(["--set", "gc_lambdas=100", "--set", "gc_ps=2"])
 
     def test_tolerance_below_noise_floor_fails(self):
         assert run(["gradcheck", "--tolerance", "1e-13", "--set", "gc_cases=6"]) == EXIT_VERIFICATION
