@@ -2,8 +2,10 @@
 
 At each sampled point in weight space one finite-difference pass gives the
 Hessians of the plain mean loss and of the exponential criterion at every
-lam; each is divided by its largest entry, eigendecomposed with LAPACK and
-tested for positive semidefiniteness.  psd_fraction is the share of points
+lam, the latter in closed form from the per-sample gradients and the
+criterion's softmax weights (divided by lam * rae, which keeps the sign of
+every eigenvalue); each is eigendecomposed with LAPACK and tested for
+positive semidefiniteness.  psd_fraction is the share of points
 whose Hessian is PSD.  Two problems:
 
   * a 1-3-1 tanh regressor on a scaled sine, where the plain squared error
@@ -30,14 +32,15 @@ template = init_model([1, 3, 1], "tanh", "identity-squared", seed=0)
 
 scan = scan_convexity(template, dataset, [1, 2, 4, 8], num_points=60, box_radius=1.0, seed=0)
 print("1-3-1 tanh on scaled sine, 60 points, box radius 1.0")
-print(f"{'lam':>6} {'psd_fraction':>14} {'past EXP_CAP (shifted)':>24}")
-for lam, frac, shifted in zip(scan.lambdas, scan.psd_fraction, scan.used_nrae.sum(axis=1)):
-    print(f"{lam:6g} {frac:14.3f} {int(shifted):24d}")
+print(f"{'lam':>6} {'psd_fraction':>14} {'raw value past EXP_CAP':>24}")
+for lam, frac, past in zip(scan.lambdas, scan.psd_fraction, scan.used_nrae.sum(axis=1)):
+    print(f"{lam:6g} {frac:14.3f} {int(past):24d}")
 print(f"base-criterion PSD points: {int(scan.ce_psd.sum())} of 60")
 print(f"containment violations per lam: {[int(v) for v in scan.comparison_violations()]}\n")
 
-# distance from the PSD region in units of each verdict's tolerance: raw
-# eigenvalues grow like exp(lam * max c), so they do not compare across points
+# distance from the PSD region in units of each verdict's tolerance: the
+# Gauss-Newton term lam * sum_i w_i g_i g_i^T grows with lam and with the
+# gradients, so raw eigenvalues do not compare across points and lams
 closeness = scan.min_eigs / scan.psd_tol
 idx = np.argsort(closeness[-1])[::-1][:5]
 print("five points closest to the PSD region at lam=8 (min eig / PSD tolerance):")

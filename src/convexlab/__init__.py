@@ -23,7 +23,6 @@ from .criteria import (
 from .convexity import (
     RegionScan,
     fd_hessian,
-    min_eigenvalues,
     scan_convexity,
 )
 from .data import (

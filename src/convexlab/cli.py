@@ -108,7 +108,7 @@ KEY_SPECS = {
     "lambda_lr": ("auto", _float_or_auto, "step size for lam (anrat); auto = learning_rate"),
     "epochs": (20, int, "training epochs"),
     "batch_size": (100, int, "SGD batch size"),
-    "lambda0": (10.0, float, "initial convexity index (scheduled default: 100)"),
+    "lambda0": (10.0, float, "initial convexity index (train --strategy scheduled default: 100)"),
     "p": (1, int, "exponent applied as lam**p"),
     "a": (0.1, float, "penalty weight of the adaptive criterion"),
     "q": (1, int, "penalty index of the adaptive criterion"),
@@ -218,10 +218,14 @@ def _build_config(args) -> RunConfig:
     cfg = RunConfig(file_values, overrides)
     for key in KEY_SPECS:
         if cfg.was_set(key):
+            if "#" in str(cfg.raw[key]):
+                # the echoed config would cut the value at its comment mark
+                raise ConfigError(f"value of {key!r} contains '#': {cfg.raw[key]!r}")
             cfg.get(key)
-    # strategy-conditional default, resolved here so the echoed config
-    # reproduces the run rather than re-deriving a different lambda0
-    if cfg.raw["strategy"] == "scheduled" and not cfg.was_set("lambda0"):
+    # the scheduled strategy's default, resolved here so the echoed config
+    # reproduces the run rather than re-deriving a different lambda0; the
+    # grid search always trains anrat, from lambda0 as given
+    if args.command == "train" and cfg.raw["strategy"] == "scheduled" and not cfg.was_set("lambda0"):
         cfg.raw["lambda0"] = 100.0
         cfg.explicit.add("lambda0")
     return cfg

@@ -1,7 +1,17 @@
 """Empirical convexity-region measurement for tiny models: central
-finite-difference Hessians over the flat parameter vector, a max-abs-rescaled
-LAPACK eigensolve, and lam-sweep scans of the positive-semidefinite fraction
-over sampled points in weight space.
+finite-difference Hessians over the flat parameter vector, a LAPACK
+eigensolve, and lam-sweep scans of the positive-semidefinite fraction over
+sampled points in weight space.
+
+The Hessian of the raw criterion rae(c) = mean(exp(s * c)), s = lam**p,
+factors exactly as
+
+    s * rae * (s * sum_i w_i g_i g_i^T + sum_i w_i H_i),   w = softmax(s * c),
+
+with g_i and H_i the gradient and Hessian of the per-sample loss c_i.  The
+scan takes the bracket, which has the same PSD verdict: its entries are
+bounded by s * max|g_i|^2 + max|H_i|, and nothing past the softmax is
+exponentiated, so no lam can overflow.
 
 Scans are restricted to smooth activations (tanh, sigmoid): relu kinks sit
 on measure-zero sets that finite differences straddle.  Each point's
@@ -15,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import EXP_CAP, NumericDomainError
+from .criteria import EXP_CAP, CriterionParams, NumericDomainError, sample_weights
+from .gradcheck import fd_gradient
 from .network import MlpModel, batch_losses, forward, unflatten
 from .seeds import rng_for
 
@@ -26,37 +37,25 @@ SMOOTH_ACTIVATIONS = ("tanh", "sigmoid")
 
 
 def psd_tolerance(hessian):
-    """Eigenvalue slack scaled by the Hessian's diagonal magnitude (raw
-    eigenvalues grow with lam**p, so a fixed tolerance would be meaningless).
-    A float for one (n, n) matrix, an array for a (K, n, n) stack."""
+    """Eigenvalue slack scaled by the Hessian's diagonal magnitude (the
+    scan's Gauss-Newton term grows with lam**p, so a fixed tolerance would
+    be meaningless).  A float for one (n, n) matrix, an array for a
+    (K, n, n) stack."""
     h = np.asarray(hessian)
     return 1e-6 * (1.0 + np.abs(np.diagonal(h, axis1=-2, axis2=-1)).max(axis=-1))
-
-
-def min_eigenvalues(hessians):
-    """Smallest eigenvalue of each symmetric matrix in a (..., n, n) stack.
-
-    Each matrix is divided by its max-abs entry before the LAPACK eigensolve
-    and the result scaled back, so entries near the float64 limit (a raw
-    criterion's Hessian carries exp(lam**p * c), up to exp(EXP_CAP) = 1.4e217)
-    cannot overflow inside the solver.  An all-zero matrix gives 0.
-    """
-    h = np.asarray(hessians, dtype=float)
-    scale = np.abs(h).max(axis=(-2, -1))
-    scale = np.where(scale > 0.0, scale, 1.0)
-    return np.linalg.eigvalsh(h / scale[..., None, None])[..., 0] * scale
 
 
 @dataclass
 class RegionScan:
     """Results of one lam-sweep over a fixed point set.  min_eigs and psd
     are (num_lambdas, num_points); the base-criterion (plain mean loss)
-    results for the same points sit in ce_min_eigs / ce_psd.
+    results for the same points sit in ce_min_eigs / ce_psd.  min_eigs are
+    the eigenvalues of Hessian(rae) / (lam**p * rae): the same sign, hence
+    the same verdict, as the raw criterion's.
 
-    used_nrae[i, j] is true where the raw criterion at lam_i would pass
-    EXP_CAP at point j (lam_i**p * max(c) > EXP_CAP), so the Hessian was
-    taken of exp(-shift) times the raw criterion: the same PSD verdict and
-    eigenvalues scaled by that positive constant.
+    used_nrae[i, j] is a report only, read by no computation: true where the
+    raw criterion's value at lam_i would pass EXP_CAP at point j
+    (lam_i**p * max(c) > EXP_CAP).  Its Hessian is finite there all the same.
 
     psd_tol and ce_psd_tol hold the `psd_tolerance` each verdict used:
     psd is min_eigs >= -psd_tol.  min_eigs / psd_tol is therefore a
@@ -134,15 +133,15 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
                    h: float = DEFAULT_FD_STEP) -> RegionScan:
     """Sample parameter vectors uniformly from [-box_radius, box_radius]^n
     and record, for every lam, the minimum Hessian eigenvalue of the raw
-    exponential criterion mean(exp(lam**p * c)) plus the plain mean-loss
-    Hessian for the same points.
+    exponential criterion mean(exp(lam**p * c)) divided by lam**p * rae,
+    plus the plain mean-loss Hessian for the same points.
 
-    One FD pass per point yields every Hessian: each probe computes the
-    per-sample losses c once and returns [mean(c), mean(exp(s_k*c - shift_k))
-    for each lam_k], with s_k = lam_k**p and shift_k = max(0, s_k*max(c) -
-    EXP_CAP) fixed at the point's centre.  Dividing by exp(shift_k) leaves
-    the PSD verdict unchanged and keeps every probe finite; where shift_k is
-    0 the Hessian is exactly the raw criterion's.
+    At each point the weights W (row 0 uniform for the base criterion, row
+    k the criteria's softmax `sample_weights` at lam_k) are fixed at the
+    centre.  One FD pass of W @ c gives every sum_i w_ki H_i, one stacked
+    `fd_gradient` call gives the per-sample gradients g_i, and the
+    Gauss-Newton term s_k * sum_i w_ki g_i g_i^T (s_0 = 0) completes each
+    Hessian.
     """
     n = model_template.param_count
     if n > MAX_SCAN_PARAMS:
@@ -160,26 +159,26 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
         raise ValueError("num_points must be >= 1")
 
     points = rng_for(seed, "scan").uniform(-box_radius, box_radius, size=(num_points, n))
-    scales = np.array([lam ** p for lam in lam_list])
-    # rows: the base criterion, then one per lam
-    min_eigs = np.empty((len(lam_list) + 1, num_points))
-    tols = np.empty((len(lam_list) + 1, num_points))
-    psd = np.zeros((len(lam_list) + 1, num_points), dtype=bool)
-    used_nrae = np.zeros((len(lam_list), num_points), dtype=bool)
+    # rows: the base criterion (s = 0, uniform weights), then one per lam
+    scales = np.array([0.0] + [lam ** p for lam in lam_list])
+    min_eigs = np.empty((len(scales), num_points))
+    tols = np.empty((len(scales), num_points))
+    used_nrae = np.empty((len(lam_list), num_points), dtype=bool)
+
+    def losses(vec):
+        return _losses_at(model_template, dataset, vec)
 
     for j, x in enumerate(points):
-        shifts = np.maximum(0.0, scales * float(_losses_at(model_template, dataset, x).max()) - EXP_CAP)
-
-        def objective(vec, _shifts=shifts[:, None]):
-            c = _losses_at(model_template, dataset, vec)
-            tilted = np.mean(np.exp(scales[:, None] * c - _shifts), axis=1)
-            return np.concatenate(([np.mean(c)], tilted))
-
-        hess = fd_hessian(objective, x, h)
-        min_eigs[:, j] = min_eigenvalues(hess)
+        c0 = losses(x)
+        weights = np.array([np.full(c0.size, 1.0 / c0.size)]
+                           + [sample_weights(c0, CriterionParams(lam, p)) for lam in lam_list])
+        grads = fd_gradient(losses, x)
+        hess = fd_hessian(lambda v: weights @ losses(v), x, h)
+        hess += np.einsum("km,mi,mj->kij", scales[:, None] * weights, grads, grads)
+        min_eigs[:, j] = np.linalg.eigvalsh(hess)[:, 0]
         tols[:, j] = psd_tolerance(hess)
-        psd[:, j] = min_eigs[:, j] >= -tols[:, j]
-        used_nrae[:, j] = shifts > 0.0
+        used_nrae[:, j] = scales[1:] * c0.max() > EXP_CAP
+    psd = min_eigs >= -tols
 
     return RegionScan(
         lambdas=tuple(lam_list),

@@ -83,10 +83,9 @@ class MlpModel:
 
 @dataclass
 class ForwardCache:
-    """Per-layer pre-activations and activations; the backward pass reads only
-    `acts`.  acts[0] is the input batch, acts[-1] the network output."""
+    """Per-layer activations: acts[0] is the input batch, acts[-1] the
+    network output."""
 
-    pre_acts: list
     acts: list
 
     @property
@@ -173,13 +172,11 @@ def forward(model: MlpModel, inputs) -> ForwardCache:
             f"input width {x.shape[1]} does not match d_0 = {model.layer_dims[0]}"
         )
     acts = [x]
-    pre_acts = []
     h = x
     last = model.num_layers - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = h @ w.swapaxes(-1, -2)
         z += b[..., None, :]
-        pre_acts.append(z)
         if k < last:
             h = _activate(z, model.activation)
         elif model.output_mode == "softmax-ce":
@@ -189,7 +186,7 @@ def forward(model: MlpModel, inputs) -> ForwardCache:
         else:  # identity-squared
             h = z
         acts.append(h)
-    return ForwardCache(pre_acts, acts)
+    return ForwardCache(acts)
 
 
 def batch_losses(outputs, targets, output_mode) -> np.ndarray:

@@ -47,7 +47,6 @@ STRATEGIES = ("ce", "nrae-fixed", "scheduled", "anrat")
 
 DEFAULT_LR_GRID = (1.0, 0.5, 0.1)
 DEFAULT_A_GRID = (1.0, 0.1, 0.001)
-GRID_LAMBDA0 = 10.0
 
 METRICS_HEADER = "epoch,train_criterion,train_ce,val_ce,val_error,lambda,switched,wall_ms"
 GRID_HEADER = "lr,a,best_val_ce,best_val_error,status"
@@ -329,7 +328,7 @@ class GridSearchResult:
 def grid_search(base_config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch,
                 lr_grid=DEFAULT_LR_GRID, a_grid=DEFAULT_A_GRID) -> GridSearchResult:
     """Train the adaptive strategy once per (learning rate, penalty weight)
-    combination with lam0 fixed at 10, rank by the best validation loss.
+    combination from base_config.lambda0, rank by the best validation loss.
     Diverged runs are recorded but excluded from the ranking."""
     if not lr_grid or not a_grid:
         raise ValueError("grids must be non-empty")
@@ -342,7 +341,6 @@ def grid_search(base_config: TrainConfig, train_set: SampleBatch, val_set: Sampl
                 strategy="anrat",
                 learning_rate=lr,
                 a=a,
-                lambda0=GRID_LAMBDA0,
                 rho=None,
             ).validate()
             try:

@@ -65,6 +65,15 @@ class TestConfigParsing:
             assert run(["train", "--config", cfg_file, "--out", tmp_path / "out"] + SINE_TRAIN) == EXIT_CONFIG
             assert f"unknown key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["eval", "--set", "model=a#b"], "'model'"),
+        (["train", "--strategy", "ce", "--run-name", "r#1"], "'run_name'"),
+    ], ids=["set", "flag"])
+    def test_comment_mark_in_value_exit_1(self, tmp_path, capsys, argv, named):
+        # the echoed config would read such a value back cut at the '#'
+        assert run(argv + ["--out", tmp_path] + SINE_TRAIN) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
     def test_missing_required_key_named(self):
         cfg = RunConfig({}, {})
         with pytest.raises(ConfigError, match="strategy"):
@@ -196,6 +205,16 @@ class TestGridsearchCommand:
                     "--out", out1, "--run-name", "g"] + self.GRID_ARGS) == EXIT_OK
         assert run(["gridsearch", "--config", out1 / "g.resolved.cfg",
                     "--out", out2]) == EXIT_OK
+        assert (out1 / "g.grid.csv").read_bytes() == (out2 / "g.grid.csv").read_bytes()
+
+    def test_scheduled_strategy_keeps_grid_lambda0(self, tmp_path):
+        # the grid always trains anrat: the scheduled default of lambda0 is
+        # not applied, and the echo reproduces the grid
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run(["gridsearch", "--lr", "0.05", "--a", "0.1", "--seed", "2", "--out", out1,
+                    "--run-name", "g", "--set", "strategy=scheduled"] + self.GRID_ARGS) == EXIT_OK
+        assert "lambda0 = 10.0" in (out1 / "g.resolved.cfg").read_text().splitlines()
+        assert run(["gridsearch", "--config", out1 / "g.resolved.cfg", "--out", out2]) == EXIT_OK
         assert (out1 / "g.grid.csv").read_bytes() == (out2 / "g.grid.csv").read_bytes()
 
     def test_conflicting_flags_exit_1(self, tmp_path):

@@ -122,7 +122,8 @@ def _all_rows_backward(model, batch, w, cache):
     for k in range(model.num_layers - 1, -1, -1):
         parts.insert(0, np.concatenate([(delta.T @ cache.acts[k]).ravel(), delta.sum(axis=0)]))
         if k > 0:
-            act_grad = _grad_from_pre_activation(cache.pre_acts[k - 1], model.activation)
+            z = cache.acts[k - 1] @ model.weights[k - 1].T + model.biases[k - 1]
+            act_grad = _grad_from_pre_activation(z, model.activation)
             delta = (delta @ model.weights[k]) * act_grad
     return np.concatenate(parts)
 
@@ -223,7 +224,8 @@ class TestWeightedBackward:
         for seed in range(40):
             model, batch = self._setup("softmax-ce", 3, activation="relu", seed=seed)
             cache = forward(model, batch.inputs)
-            closest = min(float(np.abs(z).min()) for z in cache.pre_acts)
+            closest = min(float(np.abs(a @ w.T + b).min())
+                          for a, w, b in zip(cache.acts, model.weights, model.biases))
             if closest > 1e-3:
                 break
         else:

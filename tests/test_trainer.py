@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import convexlab.trainer as trainer
 from convexlab.criteria import LAMBDA_MIN, CriterionParams, sample_weights
 from convexlab.data import SampleBatch, synthetic_blobs, synthetic_regression
 from convexlab.network import batch_losses, forward, init_model, weighted_backward
@@ -364,6 +365,21 @@ class TestGridSearch:
         result = grid_search(base, tr, va, lr_grid=(0.5,), a_grid=(0.1,))
         assert len(result.rows) == 1
         assert (result.rows[0].lr, result.rows[0].a) == (0.5, 0.1)
+
+    def test_trains_from_base_lambda0(self, monkeypatch):
+        tr, va, _ = blobs_splits(n=400)
+        base = TrainConfig(strategy="anrat", learning_rate=0.1, epochs=1, batch_size=40,
+                           layer_dims=BLOBS_NET, lambda0=5.0, seed=4)
+        seen = []
+        real_train = trainer.train
+
+        def recording(cfg, *args):
+            seen.append((cfg.strategy, cfg.lambda0))
+            return real_train(cfg, *args)
+
+        monkeypatch.setattr(trainer, "train", recording)
+        grid_search(base, tr, va, lr_grid=(0.5,), a_grid=(0.1, 1.0))
+        assert seen == [("anrat", 5.0)] * 2
 
     def test_all_diverged(self):
         full = synthetic_regression("sine", 200, 0.0, seed=0)
