@@ -7,8 +7,8 @@ settings:
     weighted backward pass, against central differences of the composed
     objective, evaluated on stacks of probe vectors (one forward pass per
     block of coordinates);
-  * the exact lam-derivative of the adaptive loss against an extended-
-    precision central difference.
+  * the exact lam-derivative of the adaptive loss against a Richardson-
+    extrapolated, extended-precision central difference.
 
 The same sweep runs as `convexlab gradcheck` from the command line.
 """

@@ -5,11 +5,11 @@ Configuration is one flat key=value mapping (`KEY_SPECS`), built in layers:
 defaults, then the `--config` file (one pair per line, `#` comments), then
 `--set key=value` overrides, then the command's flags.  Every flag is a
 shorthand for `--set` on one key (`COMMANDS`), so each value, whatever its
-source, is checked by its key's parser before any data is loaded; unknown
-keys are rejected.  `train`, `gridsearch` and `scan` echo the effective
-configuration to `<run>.resolved.cfg`, which reproduces the run.  Exit codes
-are stable: 0 ok, 1 config/usage, 2 transport, 3 training failure, 4
-verification failure.
+source, is parsed once by its key's parser into a plain dict before any data
+is loaded; unknown keys are rejected, and so are `train` without `strategy`
+and `eval` without `model`.  `train`, `gridsearch` and `scan` echo every key
+to `<run>.resolved.cfg`, which reproduces the run.  Exit codes are stable: 0
+ok, 1 config/usage, 2 transport, 3 training failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -80,10 +80,7 @@ def _choice(*names):
     return parse
 
 
-_REQUIRED = object()
-
-# key -> (default, parser, help); _REQUIRED keys must come from the config
-# file or a flag
+# key -> (default, parser, help); defaults are stored parsed
 KEY_SPECS = {
     "seed": (0, int, "master seed feeding every named substream"),
     "data_dir": ("", str, "dataset directory (falls back to $CONVEXLAB_DATA_DIR, then ./data)"),
@@ -99,11 +96,11 @@ KEY_SPECS = {
     "blob_classes": (10, int, "classes for the blobs dataset"),
     "blob_dim": (16, int, "input dimension for the blobs dataset"),
     # network
-    "net": ("784,128,10", _ints, "layer sizes d_0,...,d_L"),
+    "net": ((784, 128, 10), _ints, "layer sizes d_0,...,d_L"),
     "activation": ("tanh", str, "hidden activation: sigmoid | tanh | relu"),
     "output_mode": ("auto", str, "softmax-ce | sigmoid-binary-ce | identity-squared | auto"),
     # training
-    "strategy": (_REQUIRED, _choice(*STRATEGIES), " | ".join(STRATEGIES)),
+    "strategy": ("", _choice("", *STRATEGIES), " | ".join(STRATEGIES) + " (train requires it)"),
     "learning_rate": (0.5, float, "SGD step size for the weights"),
     "lambda_lr": ("auto", _float_or_auto, "step size for lam (anrat); auto = learning_rate"),
     "epochs": (20, int, "training epochs"),
@@ -116,23 +113,21 @@ KEY_SPECS = {
     "stagnancy_window": (5, int, "epochs inspected by the stagnancy detector"),
     "stagnancy_min_rel": (1e-4, float, "minimum relative val improvement over the window"),
     # grid search
-    "lr_grid": ("1,0.5,0.1", _floats, "learning-rate grid"),
-    "a_grid": ("1,0.1,0.001", _floats, "penalty-weight grid"),
+    "lr_grid": ((1.0, 0.5, 0.1), _floats, "learning-rate grid"),
+    "a_grid": ((1.0, 0.1, 0.001), _floats, "penalty-weight grid"),
     # gradcheck
     "gc_cases": (120, int, "number of random gradcheck configurations"),
     "gc_tolerance": (1e-5, float, "max relative error for weight gradients"),
     "gc_tolerance_lambda": (1e-6, float, "max relative error for the lam derivative"),
-    "gc_lambdas": ("0.001,1,10,100", _floats, "lam values swept by gradcheck"),
-    "gc_ps": ("1,2", _ints, "p values swept by gradcheck"),
-    "gc_h": (1e-6, float, "finite-difference step"),
+    "gc_lambdas": ((0.001, 1.0, 10.0, 100.0), _floats, "lam values swept by gradcheck"),
+    "gc_ps": ((1, 2), _ints, "p values swept by gradcheck"),
     # scan
-    "lambdas": ("1,2,4,8", _floats, "ascending lam values for the convexity scan"),
+    "lambdas": ((1.0, 2.0, 4.0, 8.0), _floats, "ascending lam values for the convexity scan"),
     "points": (200, int, "parameter-space sample points per lam"),
     "box_radius": (1.0, float, "half-width of the sampling box"),
     "scan_samples": (20, int, "size of the scan's fixed synthetic dataset"),
     "target_scale": (6.0, float, "target amplitude of the scan dataset (scales the losses "
                                  "so the tilt is strong already at small lam)"),
-    "scan_h": (1e-4, float, "Hessian finite-difference step"),
     "preset": ("", _choice("", "logistic"), "scan preset: '' | logistic"),
     # eval
     "model": ("", str, "path of a serialized model file"),
@@ -156,146 +151,121 @@ def parse_config_file(path) -> dict:
     return values
 
 
-class RunConfig:
-    """Effective flat configuration: defaults, then config file, then
-    command-line overrides.  Tracks which keys were set explicitly."""
-
-    def __init__(self, file_values=None, overrides=None):
-        self.raw = {}
-        self.explicit = set()
-        for key, (default, _, _) in KEY_SPECS.items():
-            self.raw[key] = default
-        for source in (file_values or {}), (overrides or {}):
-            for key, val in source.items():
-                if key not in KEY_SPECS:
-                    raise ConfigError(f"unknown key {key!r}")
-                self.raw[key] = val
-                self.explicit.add(key)
-
-    def get(self, key):
-        raw = self.raw[key]
-        if raw is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r}")
-        if isinstance(raw, str):
-            _, parser, _ = KEY_SPECS[key]
-            try:
-                return parser(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
-        return raw
-
-    def was_set(self, key) -> bool:
-        return key in self.explicit
-
-    def resolved_text(self) -> str:
-        lines = []
-        for key in KEY_SPECS:
-            raw = self.raw[key]
-            if raw is _REQUIRED:
-                continue
-            val = self.get(key)
-            if isinstance(val, tuple):
-                val = ",".join(repr(v) if isinstance(v, float) else str(v) for v in val)
-            elif isinstance(val, float):
-                val = repr(val)
-            lines.append(f"{key} = {val}")
-        return "\n".join(lines) + "\n"
+def resolved_text(cfg: dict) -> str:
+    """The effective configuration as a config file, one line per key."""
+    lines = []
+    for key in KEY_SPECS:
+        val = cfg[key]
+        if isinstance(val, tuple):
+            val = ",".join(repr(v) if isinstance(v, float) else str(v) for v in val)
+        elif isinstance(val, float):
+            val = repr(val)
+        lines.append(f"{key} = {val}")
+    return "\n".join(lines) + "\n"
 
 
-def _build_config(args) -> RunConfig:
-    """Defaults < --config file < --set < the command's flags.  Every value
-    given is parsed here, so a bad one is named before any data is loaded."""
-    file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {}
+def _parse_value(key, raw):
+    if "#" in raw:
+        # the echoed config would cut the value at its comment mark
+        raise ConfigError(f"value of {key!r} contains '#': {raw!r}")
+    try:
+        return KEY_SPECS[key][1](raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
+
+
+def _build_config(args) -> dict:
+    """Defaults < --config file < --set < the command's flags, as one dict
+    of parsed values.  Each value given is parsed once, here, so a bad one
+    is named before any data is loaded."""
+    given = parse_config_file(args.config) if args.config else {}
     for item in args.set or ():
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
-        overrides[key.strip()] = val.strip()
+        given[key.strip()] = val.strip()
     for key in {**COMMON_FLAGS, **COMMANDS[args.command][2]}.values():
         if getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
-    cfg = RunConfig(file_values, overrides)
-    for key in KEY_SPECS:
-        if cfg.was_set(key):
-            if "#" in str(cfg.raw[key]):
-                # the echoed config would cut the value at its comment mark
-                raise ConfigError(f"value of {key!r} contains '#': {cfg.raw[key]!r}")
-            cfg.get(key)
+            given[key] = getattr(args, key)
+    for key in given:
+        if key not in KEY_SPECS:
+            raise ConfigError(f"unknown key {key!r}")
     # the scheduled strategy's default, resolved here so the echoed config
     # reproduces the run rather than re-deriving a different lambda0; the
     # grid search always trains anrat, from lambda0 as given
-    if args.command == "train" and cfg.raw["strategy"] == "scheduled" and not cfg.was_set("lambda0"):
-        cfg.raw["lambda0"] = 100.0
-        cfg.explicit.add("lambda0")
+    if args.command == "train" and given.get("strategy") == "scheduled":
+        given.setdefault("lambda0", "100.0")
+    cfg = {key: _parse_value(key, given[key]) if key in given else default
+           for key, (default, _, _) in KEY_SPECS.items()}
+    if args.command == "train" and not cfg["strategy"]:
+        raise ConfigError("missing required key 'strategy'")
     return cfg
 
 
-def _out_path(cfg: RunConfig, suffix: str) -> str:
-    out = cfg.get("out")
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, f"{cfg.get('run_name')}{suffix}")
+def _out_path(cfg: dict, suffix: str) -> str:
+    os.makedirs(cfg["out"], exist_ok=True)
+    return os.path.join(cfg["out"], f"{cfg['run_name']}{suffix}")
 
 
-def _echo_resolved(cfg: RunConfig) -> str:
+def _echo_resolved(cfg: dict) -> str:
     path = _out_path(cfg, ".resolved.cfg")
     with open(path, "w", newline="\n") as fh:
-        fh.write(cfg.resolved_text())
+        fh.write(resolved_text(cfg))
     return path
 
 
-def _load_datasets(cfg: RunConfig):
+def _load_datasets(cfg: dict):
     """(train, val, test) SampleBatches plus the inferred output mode."""
-    name = cfg.get("dataset")
-    seed = cfg.get("seed")
-    n_train, n_val, n_test = cfg.get("train_count"), cfg.get("val_count"), cfg.get("test_count")
+    name = cfg["dataset"]
+    seed = cfg["seed"]
+    n_train, n_val, n_test = cfg["train_count"], cfg["val_count"], cfg["test_count"]
     if name == "mnist":
-        source_train, source_test = load_mnist(default_data_dir(cfg.get("data_dir") or None))
+        source_train, source_test = load_mnist(default_data_dir(cfg["data_dir"] or None))
         spec = SplitSpec(n_train, n_val, n_test, shuffle_seed=seed)
         tr, va, te = split(source_train, source_test, spec)
         return tr, va, te, "softmax-ce"
     total = n_train + n_val + n_test
     if name == "blobs":
-        full = synthetic_blobs(total, cfg.get("blob_classes"), cfg.get("blob_dim"), seed)
+        full = synthetic_blobs(total, cfg["blob_classes"], cfg["blob_dim"], seed)
         mode = "softmax-ce"
     else:
-        full = synthetic_regression(name, total, cfg.get("noise_sd"), seed)
+        full = synthetic_regression(name, total, cfg["noise_sd"], seed)
         mode = "identity-squared"
     parts = np.split(np.arange(total), [n_train, n_train + n_val])
     return full.take(parts[0]), full.take(parts[1]), full.take(parts[2]), mode
 
 
-def _train_config(cfg: RunConfig, output_mode: str, strategy=None) -> TrainConfig:
-    strategy = strategy or cfg.get("strategy")
-    mode = cfg.get("output_mode")
+def _train_config(cfg: dict, output_mode: str, strategy=None) -> TrainConfig:
+    strategy = strategy or cfg["strategy"]
+    mode = cfg["output_mode"]
     if mode == "auto":
         mode = output_mode
-    lambda_lr = cfg.get("lambda_lr")
+    lambda_lr = cfg["lambda_lr"]
     return TrainConfig(
         strategy=strategy,
-        learning_rate=cfg.get("learning_rate"),
-        epochs=cfg.get("epochs"),
-        batch_size=cfg.get("batch_size"),
-        layer_dims=cfg.get("net"),
-        activation=cfg.get("activation"),
+        learning_rate=cfg["learning_rate"],
+        epochs=cfg["epochs"],
+        batch_size=cfg["batch_size"],
+        layer_dims=cfg["net"],
+        activation=cfg["activation"],
         output_mode=mode,
         lambda_lr=lambda_lr if strategy == "anrat" and lambda_lr != "auto" else None,
-        lambda0=cfg.get("lambda0"),
-        p=cfg.get("p"),
-        a=cfg.get("a"),
-        q=cfg.get("q"),
-        rho=cfg.get("rho") if strategy == "scheduled" else None,
-        stagnancy_window=cfg.get("stagnancy_window"),
-        stagnancy_min_rel_improvement=cfg.get("stagnancy_min_rel"),
-        seed=cfg.get("seed"),
+        lambda0=cfg["lambda0"],
+        p=cfg["p"],
+        a=cfg["a"],
+        q=cfg["q"],
+        rho=cfg["rho"] if strategy == "scheduled" else None,
+        stagnancy_window=cfg["stagnancy_window"],
+        stagnancy_min_rel_improvement=cfg["stagnancy_min_rel"],
+        seed=cfg["seed"],
     ).validate()
 
 
-def cmd_fetch(cfg: RunConfig) -> int:
-    dest = default_data_dir(cfg.get("data_dir") or None)
+def cmd_fetch(cfg: dict) -> int:
+    dest = default_data_dir(cfg["data_dir"] or None)
     from .data import MNIST_FILES
     cached = all(os.path.exists(os.path.join(dest, n)) for n in MNIST_FILES)
-    paths = fetch_mnist(cfg.get("mnist_base_url"), dest)
+    paths = fetch_mnist(cfg["mnist_base_url"], dest)
     if cached:
         print("cached: all four files already present")
     for p in paths:
@@ -303,7 +273,7 @@ def cmd_fetch(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: dict) -> int:
     train_set, val_set, test_set, inferred = _load_datasets(cfg)
     tc = _train_config(cfg, inferred)
     _echo_resolved(cfg)
@@ -322,11 +292,11 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gridsearch(cfg: RunConfig) -> int:
+def cmd_gridsearch(cfg: dict) -> int:
     train_set, val_set, test_set, inferred = _load_datasets(cfg)
     base = _train_config(cfg, inferred, strategy="anrat")
     _echo_resolved(cfg)
-    result = grid_search(base, train_set, val_set, cfg.get("lr_grid"), cfg.get("a_grid"))
+    result = grid_search(base, train_set, val_set, cfg["lr_grid"], cfg["a_grid"])
     path = _out_path(cfg, ".grid.csv")
     write_grid_csv(result.rows, path)
     best = result.best_row
@@ -338,16 +308,15 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(cfg: RunConfig) -> int:
-    tol_w, tol_l = cfg.get("gc_tolerance"), cfg.get("gc_tolerance_lambda")
+def cmd_gradcheck(cfg: dict) -> int:
+    tol_w, tol_l = cfg["gc_tolerance"], cfg["gc_tolerance_lambda"]
     summary = run_gradcheck(
-        num_cases=cfg.get("gc_cases"),
-        lambdas=cfg.get("gc_lambdas"),
-        ps=cfg.get("gc_ps"),
+        num_cases=cfg["gc_cases"],
+        lambdas=cfg["gc_lambdas"],
+        ps=cfg["gc_ps"],
         tol_weights=tol_w,
         tol_lambda=tol_l,
-        h=cfg.get("gc_h"),
-        seed=cfg.get("seed"),
+        seed=cfg["seed"],
     )
     print(f"{summary.num_cases} configurations in {summary.elapsed_s:.1f}s")
     print(f"max weight-gradient relative error: {summary.max_weight_rel_err:.3e} (tolerance {tol_w:g})")
@@ -361,32 +330,31 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _scan_problem(cfg: RunConfig):
-    seed = cfg.get("seed")
-    if cfg.get("preset") == "logistic":
+def _scan_problem(cfg: dict):
+    seed = cfg["seed"]
+    if cfg["preset"] == "logistic":
         rng = rng_for(seed, "scan-data")
-        x = rng.uniform(-2.0, 2.0, size=cfg.get("scan_samples"))
+        x = rng.uniform(-2.0, 2.0, size=cfg["scan_samples"])
         dataset = SampleBatch(x[:, None], (x > 0).astype(np.int64))
         template = init_model([1, 1], "tanh", "sigmoid-binary-ce", seed)
         return template, dataset
-    base = synthetic_regression("sine", cfg.get("scan_samples"), cfg.get("noise_sd"), seed)
-    dataset = SampleBatch(base.inputs, cfg.get("target_scale") * base.targets)
-    template = init_model(cfg.get("net"), cfg.get("activation"), "identity-squared", seed)
+    base = synthetic_regression("sine", cfg["scan_samples"], cfg["noise_sd"], seed)
+    dataset = SampleBatch(base.inputs, cfg["target_scale"] * base.targets)
+    template = init_model(cfg["net"], cfg["activation"], "identity-squared", seed)
     return template, dataset
 
 
-def cmd_scan(cfg: RunConfig) -> int:
+def cmd_scan(cfg: dict) -> int:
     template, dataset = _scan_problem(cfg)
     _echo_resolved(cfg)
     scan = scan_convexity(
         template,
         dataset,
-        cfg.get("lambdas"),
-        num_points=cfg.get("points"),
-        box_radius=cfg.get("box_radius"),
-        seed=cfg.get("seed"),
-        p=cfg.get("p"),
-        h=cfg.get("scan_h"),
+        cfg["lambdas"],
+        num_points=cfg["points"],
+        box_radius=cfg["box_radius"],
+        seed=cfg["seed"],
+        p=cfg["p"],
     )
     detail = _out_path(cfg, ".scan.csv")
     summary = _out_path(cfg, ".scan_summary.csv")
@@ -400,8 +368,8 @@ def cmd_scan(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    model_path = cfg.get("model")
+def cmd_eval(cfg: dict) -> int:
+    model_path = cfg["model"]
     if not model_path:
         raise ConfigError("missing required key 'model' (or --model PATH)")
     with open(model_path) as fh:

@@ -29,6 +29,10 @@ LAMBDA_MIN = 1e-3
 # headroom for the batch sum inside double range.
 EXP_CAP = 500.0
 
+# Softmax weights below the smallest normal double are flushed to 0: the
+# weighted backward pass slows several-fold on subnormal products.
+TINY_WEIGHT = float(np.finfo(float).tiny)
+
 # Network output probabilities are clamped to [PROB_EPS, 1 - PROB_EPS]
 # before any log, so per-sample losses are always finite; for classification
 # losses -log(PROB_EPS) is a hard ceiling on any c_i.
@@ -124,7 +128,9 @@ def _softmax_weights(c, s: float) -> np.ndarray:
     z = s * c
     z = z - z.max()
     e = np.exp(z)
-    return e / e.sum()
+    w = e / e.sum()
+    w[w < TINY_WEIGHT] = 0.0
+    return w
 
 
 def _penalty(params: CriterionParams) -> float:
@@ -181,7 +187,8 @@ def nrae(losses, params: CriterionParams) -> float | np.ndarray:
 
 def sample_weights(losses, params: CriterionParams) -> np.ndarray:
     """Softmax over lam**p * c_i: the per-sample factors whose weighted sum
-    of loss gradients is the full criterion gradient with respect to W."""
+    of loss gradients is the full criterion gradient with respect to W.
+    A weight below the smallest normal double is returned as exactly 0."""
     return _softmax_weights(_check_losses(losses), params.scale)
 
 

@@ -70,7 +70,7 @@ def desk_config(strategy, seed, **kw):
 
 def test_criterion_1_gradient_exactness():
     summary = run_gradcheck(num_cases=120, lambdas=(1e-3, 1.0, 10.0, 100.0), ps=(1, 2),
-                            tol_weights=1e-5, tol_lambda=1e-6, h=1e-6, seed=0)
+                            tol_weights=1e-5, tol_lambda=1e-6, seed=0)
     ok = summary.ok and summary.elapsed_s < 60.0
     report(1, ok,
            f"{summary.num_cases} configs, max weight err {summary.max_weight_rel_err:.2e} "

@@ -13,9 +13,11 @@ from convexlab.cli import (
     EXIT_VERIFICATION,
     KEY_SPECS,
     ConfigError,
-    RunConfig,
+    _build_config,
+    build_parser,
     main,
     parse_config_file,
+    resolved_text,
 )
 from convexlab.data import MNIST_FILES, write_idx_images, write_idx_labels
 
@@ -30,6 +32,11 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def resolve(args):
+    """The parsed configuration dict a command line resolves to."""
+    return _build_config(build_parser().parse_args([str(a) for a in args]))
+
+
 class TestConfigParsing:
     def test_file_with_comments_and_overrides(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -42,24 +49,26 @@ class TestConfigParsing:
         )
         values = parse_config_file(cfg_file)
         assert values == {"seed": "42", "learning_rate": "0.25", "strategy": "ce"}
-        cfg = RunConfig(values, {"seed": "7"})
-        assert cfg.get("seed") == 7
-        assert cfg.get("learning_rate") == 0.25
-        assert cfg.was_set("seed") and not cfg.was_set("epochs")
+        cfg = resolve(["train", "--config", cfg_file, "--set", "seed=7"])
+        assert cfg["seed"] == 7
+        assert cfg["learning_rate"] == 0.25
+        assert cfg["strategy"] == "ce"
+        assert cfg["epochs"] == KEY_SPECS["epochs"][0]
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("learninng_rate = 0.1\n")
         with pytest.raises(ConfigError, match="learninng_rate"):
             parse_config_file(cfg_file)
-        with pytest.raises(ConfigError):
-            RunConfig({}, {"nope": "1"})
+        with pytest.raises(ConfigError, match="unknown key 'nope'"):
+            resolve(["train", "--strategy", "ce", "--set", "nope=1"])
 
     def test_removed_switch_cap_key_exit_1(self, tmp_path, capsys):
-        # the scheduled switch always uses EXP_CAP, and no code read the
-        # synthetic `samples` size; an old config that still sets either is
-        # refused, not silently ignored
-        for key in ("switch_cap", "samples"):
+        # the scheduled switch always uses EXP_CAP, no code read the
+        # synthetic `samples` size, and the finite-difference steps are the
+        # oracles' own constants; an old config that still sets any of these
+        # is refused, not silently ignored
+        for key in ("switch_cap", "samples", "gc_h", "scan_h"):
             cfg_file = tmp_path / "old.cfg"
             cfg_file.write_text(f"strategy = scheduled\n{key} = 200\n")
             assert run(["train", "--config", cfg_file, "--out", tmp_path / "out"] + SINE_TRAIN) == EXIT_CONFIG
@@ -75,23 +84,33 @@ class TestConfigParsing:
         assert named in capsys.readouterr().err
 
     def test_missing_required_key_named(self):
-        cfg = RunConfig({}, {})
-        with pytest.raises(ConfigError, match="strategy"):
-            cfg.get("strategy")
+        with pytest.raises(ConfigError, match="missing required key 'strategy'"):
+            resolve(["train"])
 
     def test_bad_value_reported(self):
-        cfg = RunConfig({}, {"epochs": "three"})
         with pytest.raises(ConfigError, match="epochs"):
-            cfg.get("epochs")
+            resolve(["train", "--strategy", "ce", "--set", "epochs=three"])
+
+    def test_each_value_parsed_once(self, monkeypatch):
+        calls = []
+        default, parser, help_text = KEY_SPECS["epochs"]
+
+        def counting(text):
+            calls.append(text)
+            return parser(text)
+        monkeypatch.setitem(KEY_SPECS, "epochs", (default, counting, help_text))
+        cfg = resolve(["train", "--strategy", "ce", "--set", "epochs=3"])
+        resolved_text(cfg)
+        assert cfg["epochs"] == 3 and calls == ["3"]
 
     def test_resolved_text_round_trips(self, tmp_path):
-        cfg = RunConfig({}, {"strategy": "ce", "seed": "9", "lambdas": "1,2,4", "lambda_lr": "0.25"})
-        text = cfg.resolved_text()
+        cfg = resolve(["train", "--strategy", "ce", "--seed", "9", "--set", "lambdas=1,2,4",
+                       "--set", "lambda_lr=0.25"])
+        text = resolved_text(cfg)
+        assert len(text.splitlines()) == len(KEY_SPECS)
         path = tmp_path / "resolved.cfg"
         path.write_text(text)
-        cfg2 = RunConfig(parse_config_file(path), {})
-        for key in KEY_SPECS:
-            assert cfg.get(key) == cfg2.get(key)
+        assert resolve(["train", "--config", path]) == cfg
 
     @pytest.mark.parametrize("argv, named", [
         (["train", "--strategy", "bogus"], "'strategy'"),
@@ -99,7 +118,8 @@ class TestConfigParsing:
         (["scan", "--preset", "bogus"], "'preset'"),
         (["scan", "--points", "many"], "'points'"),
         (["train", "--strategy", "ce", "--bogus", "1"], "--bogus"),
-    ], ids=["bad-choice", "bad-choice-set", "bad-preset", "bad-int", "unknown-flag"])
+        (["train"], "missing required key 'strategy'"),
+    ], ids=["bad-choice", "bad-choice-set", "bad-preset", "bad-int", "unknown-flag", "no-strategy"])
     def test_usage_error_exit_1(self, tmp_path, capsys, argv, named):
         # a bad value or unknown flag is named before any data is loaded
         # (the data dir is empty) and exits 1, not argparse's 2
@@ -246,6 +266,16 @@ class TestGradcheckCommand:
     def test_tolerance_below_noise_floor_fails(self):
         assert run(["gradcheck", "--tolerance", "1e-13", "--set", "gc_cases=6"]) == EXIT_VERIFICATION
 
+    @pytest.mark.parametrize("args", [
+        ["--set", "gc_cases=0"], ["--set", "gc_cases=-2"], ["--lambda="], ["--p="],
+    ], ids=["zero-cases", "negative-cases", "no-lambdas", "no-ps"])
+    def test_empty_sweep_exit_1(self, capsys, args):
+        # a sweep that checks nothing must not print PASS
+        assert run(["gradcheck"] + args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "at least one" in captured.err
+        assert "PASS" not in captured.out
+
 
 class TestScanCommand:
     def test_writes_csvs(self, tmp_path):
@@ -267,6 +297,18 @@ class TestScanCommand:
         assert rc == EXIT_OK
         summary = (out / "lg.scan_summary.csv").read_text().splitlines()[1:]
         assert all(line.split(",")[1] == "1.0" for line in summary)
+
+    def test_resolved_config_reproduces_scan(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run(["scan", "--net", "1,3,1", "--lambdas", "1,2", "--points", "3", "--seed", "4",
+                    "--out", out1, "--run-name", "s"]) == EXIT_OK
+        echoed = (out1 / "s.resolved.cfg").read_text().splitlines()
+        # every key is echoed, the unset strategy as an empty value
+        assert [line.split(" = ")[0] for line in echoed] == list(KEY_SPECS)
+        assert "strategy = " in echoed
+        assert run(["scan", "--config", out1 / "s.resolved.cfg", "--out", out2]) == EXIT_OK
+        for name in ("s.scan.csv", "s.scan_summary.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_descending_lambdas_exit_1(self, tmp_path):
         rc = run(["scan", "--lambdas", "8,4", "--out", tmp_path])

@@ -126,6 +126,32 @@ class TestSampleWeights:
         w = sample_weights([1.0, 5.0, 2.0], params(1e4))
         assert w == pytest.approx([0.0, 1.0, 0.0], abs=1e-9)
 
+    @staticmethod
+    def _unflushed(c, s):
+        z = s * np.asarray(c, dtype=float)
+        e = np.exp(z - z.max())
+        return e / e.sum()
+
+    def test_subnormal_weights_flushed(self):
+        # exp(-730) and exp(-710) are subnormal, exp(-630) is not
+        c = np.array([0.0, 20.0, 100.0, 730.0])
+        raw = self._unflushed(c, 1.0)
+        tiny = np.finfo(float).tiny
+        assert 0.0 < raw[0] < raw[1] < tiny < raw[2]
+        w = sample_weights(c, params(1.0))
+        assert w[0] == 0.0 and w[1] == 0.0
+        assert np.array_equal(w[2:], raw[2:])
+
+    def test_no_subnormal_entry_unchanged(self):
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            c = rng.uniform(0, 6, size=rng.integers(1, 25))
+            lam = float(10 ** rng.uniform(-3, 4))
+            raw = self._unflushed(c, lam)
+            if np.any((raw > 0.0) & (raw < np.finfo(float).tiny)):
+                continue
+            assert np.array_equal(sample_weights(c, params(lam)), raw)
+
     def test_simplex(self):
         rng = np.random.default_rng(6)
         for _ in range(300):
@@ -192,7 +218,7 @@ class TestAnrat:
                 q=int(rng.integers(1, 3)),
             )
             exact = anrat_grad_lambda(c, pr)
-            fd = fd_lambda_gradient(c, pr, h=1e-6)
+            fd = fd_lambda_gradient(c, pr)
             scale = max(abs(exact), abs(fd), 1e-12)
             assert abs(exact - fd) / scale < 1e-6
 
