@@ -95,9 +95,10 @@ def _check_losses(losses, stacked: bool = False) -> np.ndarray:
     if c.ndim not in ((1, 2) if stacked else (1,)) or c.size < 1:
         shape = "a non-empty 1-D vector or (K, m) stack" if stacked else "a non-empty 1-D vector"
         raise ValueError(f"losses must be {shape}, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise NumericDomainError(f"losses contain non-finite entries{_rows_where(~np.isfinite(c))}")
-    if np.any(c < 0):
+    if not (c.min() >= 0.0 and c.max() < np.inf):
+        # two reductions clear the usual case; the masks only name the rows
+        if not np.all(np.isfinite(c)):
+            raise NumericDomainError(f"losses contain non-finite entries{_rows_where(~np.isfinite(c))}")
         raise ValueError(f"per-sample losses must be nonnegative{_rows_where(c < 0)}")
     return c
 
@@ -113,14 +114,18 @@ def _rae_value(c, s: float) -> float:
 
 
 def _nrae_rows(rows, s: float) -> np.ndarray:
-    cbar = rows.mean(axis=1)
+    # sum / m is how np.mean divides, so these are its bits
+    m = rows.shape[1]
+    cbar = rows.sum(axis=1) / m
     z = s * (rows - cbar[:, None])
     zmax = z.max(axis=1)
     small = zmax <= 50.0
+    if small.all():  # the usual stack: every row on the expm1 side, no split
+        return cbar + np.log1p(np.expm1(z).sum(axis=1) / m) / s
     corr = np.empty_like(cbar)
-    corr[small] = np.log1p(np.mean(np.expm1(z[small]), axis=1))
+    corr[small] = np.log1p(np.expm1(z[small]).sum(axis=1) / m)
     big = ~small
-    corr[big] = zmax[big] + np.log(np.mean(np.exp(z[big] - zmax[big, None]), axis=1))
+    corr[big] = zmax[big] + np.log(np.exp(z[big] - zmax[big, None]).sum(axis=1) / m)
     return cbar + corr / s
 
 
@@ -137,7 +142,9 @@ def _penalty(params: CriterionParams) -> float:
     return params.a * float(params.lam) ** (-params.q)
 
 
-def _grad_lambda(c, params: CriterionParams, w, nrae_value: float) -> float:
+def _grad_lambda(c, params: CriterionParams, w=None, nrae_value: float = 0.0) -> float:
+    # w and nrae_value are read on the log-sum-exp side only; without w
+    # they are computed there
     lam, p, a, q = float(params.lam), int(params.p), float(params.a), int(params.q)
     s = params.scale
     d = c - c.mean()
@@ -151,6 +158,8 @@ def _grad_lambda(c, params: CriterionParams, w, nrae_value: float) -> float:
         gap = (float(np.dot(u - ubar, d)) / (c.size * (1.0 + ubar))
                + float(d.mean()) - float(np.log1p(ubar)) / s)
     else:
+        if w is None:
+            w, nrae_value = _softmax_weights(c, s), float(_nrae_rows(c[None, :], s)[0])
         gap = float(np.dot(w, c)) - nrae_value
     return (p / lam) * gap - a * q * lam ** (-q - 1)
 
@@ -178,7 +187,9 @@ def nrae(losses, params: CriterionParams) -> float | np.ndarray:
     cancellation in log(1 - eps) and poison finite-difference oracles.
 
     A vector gives a float; a (K, m) stack of loss vectors gives an array of
-    K values, each equal bit for bit to nrae of its row.
+    K values, each equal bit for bit to nrae of its row.  A stack whose rows
+    all take the expm1 form, the usual case, is evaluated whole; only a
+    stack with rows on both sides is split by regime.
     """
     c = _check_losses(losses, stacked=True)
     value = _nrae_rows(c.reshape(-1, c.shape[-1]), params.scale)
@@ -205,9 +216,7 @@ def anrat_grad_lambda(losses, params: CriterionParams) -> float:
     The first term is the gap between the exponentially weighted mean loss
     and the criterion, hence always >= 0.
     """
-    c = _check_losses(losses)
-    s = params.scale
-    return _grad_lambda(c, params, _softmax_weights(c, s), float(_nrae_rows(c[None, :], s)[0]))
+    return _grad_lambda(_check_losses(losses), params)
 
 
 def evaluate_criterion(losses, kind: str, params: CriterionParams) -> LossReport:

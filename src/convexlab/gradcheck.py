@@ -22,21 +22,25 @@ function from a (K, n) stack of parameter vectors to its K values, or to a
 call, and `check_case` reads the nrae and the mean-loss criteria off the
 same loss matrix, so a case with n parameters costs ceil(n / FD_BLOCK)
 stacked forward passes for both oracles together instead of 4n single
-ones, and each stack holds at most 2 * FD_BLOCK vectors.  `unflatten`,
-`forward`, `batch_losses` and `nrae` all accept such stacks, and the value
-for each row equals, bit for bit, the value of that vector on its own.
+ones, and each stack holds at most 2 * FD_BLOCK vectors.  `forward`,
+`batch_losses` and `nrae` all accept such stacks, and the value for each
+row equals, bit for bit, the value of that vector on its own.  Each probe
+stack is built fresh for one call, so `check_case` wraps it in a stacked
+model as it is, without the private copy `unflatten` would make.
+
+A NaN error fails the sweep: it counts as worse than any number.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .criteria import CriterionParams, anrat_grad_lambda, nrae, sample_weights
 from .data import SampleBatch
-from .network import batch_losses, forward, init_model, unflatten, weighted_backward
+from .network import batch_losses, forward, init_model, weighted_backward
 from .seeds import rng_for
 
 DEFAULT_LAMBDAS = (1e-3, 1.0, 10.0, 100.0)
@@ -103,11 +107,13 @@ def fd_gradient(objective, x, h: float = FD_STEP) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"x must be a non-empty flat parameter vector, got shape {x.shape}")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"h must be positive and finite, got {h}")
     grad = None
     for lo in range(0, x.size, FD_BLOCK):
         coords = np.arange(lo, min(lo + FD_BLOCK, x.size))
         k = coords.size
-        probes = np.tile(x, (2 * k, 1))
+        probes = np.repeat(x[None, :], 2 * k, axis=0)
         probes[np.arange(k), coords] += h
         probes[np.arange(k, 2 * k), coords] -= h
         values = np.asarray(objective(probes), dtype=float)
@@ -196,8 +202,9 @@ def check_case(case: GradCheckCase) -> tuple:
     model, batch, params = _case_problem(case)
 
     def criteria_at(stack):
-        # nrae and the plain mean loss of each probe, from one loss matrix
-        m = unflatten(model, stack)
+        # nrae and the plain mean loss of each probe, from one loss matrix;
+        # the stack is a fresh probe block, wrapped without a copy
+        m = replace(model, theta=stack)
         c = batch_losses(forward(m, batch.inputs).outputs, batch.targets, m.output_mode)
         return np.stack([nrae(c, params), np.mean(c, axis=-1)], axis=-1)
 
@@ -233,12 +240,18 @@ def _cases(num_cases: int, lambdas, ps, seed: int):
         yield case
 
 
+def _is_worse(err: float, worst: float) -> bool:
+    # NaN is worse than every number, and a recorded NaN stays the worst
+    return worst == worst and not err <= worst
+
+
 def run_gradcheck(num_cases: int = 100, lambdas=DEFAULT_LAMBDAS, ps=DEFAULT_PS,
                   tol_weights: float = 1e-5, tol_lambda: float = 1e-6,
                   seed: int = 0) -> GradCheckSummary:
     """Sweep num_cases configurations cycling through every (lam, p, loss
-    mode) cell, tracking the worst relative error of each suite.  A sweep
-    that would check nothing is refused."""
+    mode) cell, tracking the worst relative error of each suite; the first
+    NaN error, if any, is the worst.  A sweep that would check nothing is
+    refused."""
     if num_cases < 1 or not len(lambdas) or not len(ps):
         raise ValueError(f"gradcheck needs at least one case, lam and p, got num_cases={num_cases} "
                          f"lambdas={tuple(lambdas)} ps={tuple(ps)}")
@@ -247,9 +260,9 @@ def run_gradcheck(num_cases: int = 100, lambdas=DEFAULT_LAMBDAS, ps=DEFAULT_PS,
     worst_l = (-1.0, None)
     for case in _cases(num_cases, lambdas, ps, seed):
         w_err, l_err = check_case(case)
-        if w_err > worst_w[0]:
+        if _is_worse(w_err, worst_w[0]):
             worst_w = (w_err, case)
-        if l_err > worst_l[0]:
+        if _is_worse(l_err, worst_l[0]):
             worst_l = (l_err, case)
     return GradCheckSummary(
         num_cases=num_cases,

@@ -266,6 +266,17 @@ class TestGradcheckCommand:
     def test_tolerance_below_noise_floor_fails(self):
         assert run(["gradcheck", "--tolerance", "1e-13", "--set", "gc_cases=6"]) == EXIT_VERIFICATION
 
+    def test_nan_error_exit_4(self, capsys, monkeypatch):
+        import convexlab.gradcheck as gradcheck
+        real = gradcheck.check_case
+        monkeypatch.setattr(gradcheck, "check_case",
+                            lambda case: (float("nan"), real(case)[1]) if case.seed == 1001 else real(case))
+        assert run(["gradcheck", "--set", "gc_cases=4"]) == EXIT_VERIFICATION
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "max weight-gradient relative error: nan" in captured.out
+        assert "worst weight case:" in captured.err and "seed=1001" in captured.err
+
     @pytest.mark.parametrize("args", [
         ["--set", "gc_cases=0"], ["--set", "gc_cases=-2"], ["--lambda="], ["--p="],
     ], ids=["zero-cases", "negative-cases", "no-lambdas", "no-ps"])

@@ -282,7 +282,7 @@ class TestLossReport:
             evaluate_criterion([0.2, 1.0, 0.7], kind, params(3.0, a=0.1))
             assert len(calls) == 1, kind
 
-    @pytest.mark.parametrize("lam,big", [(1.0, False), (100.0, True)])
+    @pytest.mark.parametrize("lam,big", [(1e-3, False), (1.0, False), (100.0, True), (1000.0, True)])
     def test_reports_equal_public_functions(self, lam, big):
         # both branches of nrae and of the lam derivative: the tilt
         # s*(max(c) - mean(c)) below and above 50
@@ -324,6 +324,33 @@ class TestParamsValidation:
             CriterionParams(lam=1.0, q=0)
         with pytest.raises(ValueError):
             CriterionParams(lam=1.0, a=-0.5)
+
+    BAD_LOSSES = [
+        # (losses, exception, message): non-finite is named before negative
+        ([0.5, np.nan], NumericDomainError, "losses contain non-finite entries"),
+        ([0.5, -np.inf], NumericDomainError, "losses contain non-finite entries"),
+        ([np.inf, 0.0], NumericDomainError, "losses contain non-finite entries"),
+        ([np.nan, -1.0], NumericDomainError, "losses contain non-finite entries"),
+        ([0.5, -1.0], ValueError, "per-sample losses must be nonnegative"),
+        ([[0.1, 0.2], [-0.5, 0.1], [0.3, np.nan]], NumericDomainError,
+         "losses contain non-finite entries (rows [2])"),
+        ([[-0.5, 0.1], [0.1, 0.2], [0.3, -0.1], [-np.inf, 1.0]], NumericDomainError,
+         "losses contain non-finite entries (rows [3])"),
+        ([[-0.5, 0.1], [0.1, 0.2], [0.3, -0.1]], ValueError, "per-sample losses must be nonnegative (rows [0, 2])"),
+    ]
+
+    @pytest.mark.parametrize("losses,exc,message", BAD_LOSSES)
+    def test_bad_losses_named_under_raising_errstate(self, losses, exc, message):
+        fns = [nrae] if np.ndim(losses) == 2 else [nrae, rae, sample_weights, anrat_grad_lambda,
+                                                    lambda c, pr: evaluate_criterion(c, "anrat", pr)]
+        for fn in fns:
+            with np.errstate(all="raise"), pytest.raises(exc) as info:
+                fn(np.array(losses), params(2.0))
+            assert type(info.value) is exc and str(info.value) == message
+
+    def test_negative_zero_loss_accepted(self):
+        with np.errstate(all="raise"):
+            assert nrae([-0.0, 1.0], params(1.0)) == nrae([0.0, 1.0], params(1.0))
 
     def test_rejects_bad_losses(self):
         with pytest.raises(ValueError):

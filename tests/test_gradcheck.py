@@ -90,6 +90,17 @@ class TestStackedNrae:
             assert isinstance(scalar, float)
             assert values[k].tobytes() == np.float64(scalar).tobytes()
 
+    @pytest.mark.parametrize("spread", [0.1, 40.0], ids=["expm1", "log-sum-exp"])
+    def test_single_regime_stacks_match_scalar(self, spread):
+        # a stack with every row on one side is evaluated whole, unsplit
+        params = CriterionParams(lam=3.0, p=2)
+        stack = np.random.default_rng(3).uniform(0.0, spread, size=(16, 8))
+        zmax = params.scale * (stack.max(axis=1) - stack.mean(axis=1))
+        assert np.all(zmax <= 50.0) == (spread == 0.1) and np.all(zmax > 50.0) == (spread == 40.0)
+        values = nrae(stack, params)
+        for k, row in enumerate(stack):
+            assert values[k].tobytes() == np.float64(nrae(row, params)).tobytes()
+
     def test_bad_row_raises(self):
         params = CriterionParams(lam=1.0)
         stack = np.ones((4, 3))
@@ -170,6 +181,12 @@ class TestFdGradient:
         with pytest.raises(ValueError):
             fd_gradient(lambda v: np.zeros(v.shape[0]), np.zeros(0))
 
+    @pytest.mark.parametrize("h", [0.0, -1e-6, math.nan, math.inf])
+    def test_refuses_bad_step(self, h):
+        # h = 0 used to return 0/0 = NaN gradients
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            fd_gradient(lambda v: np.sum(v, axis=-1), np.ones(3), h)
+
 
 def _two_pass_check_case(case, h=1e-6):
     """The two-pass oracle: one fd_gradient call, and so one probe pass, per
@@ -215,6 +232,28 @@ class TestCheckCase:
             # the unperturbed forward, then one stacked forward per block
             assert len(calls) == 1 + math.ceil(n / FD_BLOCK), case.describe()
 
+    def test_stacked_model_wraps_probe_stack(self, monkeypatch):
+        stacks, thetas = [], []
+        real_fd, real_forward = gradcheck.fd_gradient, gradcheck.forward
+
+        def recording_fd(objective, x, *args, **kwargs):
+            def recorded(stack):
+                stacks.append(stack)
+                return objective(stack)
+            return real_fd(recorded, x, *args, **kwargs)
+
+        def recording_forward(model, inputs):
+            thetas.append(model.theta)
+            return real_forward(model, inputs)
+        monkeypatch.setattr(gradcheck, "fd_gradient", recording_fd)
+        monkeypatch.setattr(gradcheck, "forward", recording_forward)
+        case = next(_cases(1, DEFAULT_LAMBDAS, DEFAULT_PS, 0))
+        check_case(case)
+        stacked = [t for t in thetas if t.ndim == 2]
+        assert len(stacked) == len(stacks) == math.ceil(_case_problem(case)[0].param_count / FD_BLOCK)
+        for theta, stack in zip(stacked, stacks):
+            assert np.shares_memory(theta, stack)
+
     def test_lambda_oracle_seed_90(self):
         assert run_gradcheck(num_cases=24, seed=90).ok
 
@@ -223,6 +262,42 @@ class TestCheckCase:
     @pytest.mark.parametrize("seed", list(range(20)) + [90, 355, 455, 535])
     def test_sweep_passes(self, seed):
         assert run_gradcheck(num_cases=24, seed=seed).ok
+
+
+class TestNanErrors:
+    """A NaN error is worse than any number: it fails the sweep and names
+    its case, and a later finite error does not displace it."""
+
+    @staticmethod
+    def _patch(monkeypatch, errors_of):
+        real = gradcheck.check_case
+        monkeypatch.setattr(gradcheck, "check_case", lambda case: errors_of(case, real(case)))
+
+    @pytest.mark.parametrize("suite", [0, 1], ids=["weights", "lambda"])
+    def test_one_nan_case_fails_sweep(self, monkeypatch, suite):
+        def errors_of(case, errs):
+            return tuple(math.nan if j == suite and case.seed == 1002 else e for j, e in enumerate(errs))
+        self._patch(monkeypatch, errors_of)
+        summary = run_gradcheck(num_cases=6, seed=0)
+        worst = [(summary.max_weight_rel_err, summary.worst_weight_case),
+                 (summary.max_lambda_rel_err, summary.worst_lambda_case)]
+        assert not summary.ok
+        assert math.isnan(worst[suite][0]) and worst[suite][1].seed == 1002
+        assert worst[1 - suite][0] < 1e-6
+
+    def test_first_nan_stays_worst(self, monkeypatch):
+        self._patch(monkeypatch, lambda case, errs: (math.nan, math.nan) if case.seed == 1000 else (0.5, 0.5))
+        summary = run_gradcheck(num_cases=4, seed=0)
+        assert math.isnan(summary.max_weight_rel_err) and math.isnan(summary.max_lambda_rel_err)
+        assert summary.worst_weight_case.seed == summary.worst_lambda_case.seed == 1000
+
+    def test_all_nan_sweep_fails(self, monkeypatch):
+        # the parent reported max error -1.0, no worst case and ok = True here
+        self._patch(monkeypatch, lambda case, errs: (math.nan, math.nan))
+        summary = run_gradcheck(num_cases=3, seed=0)
+        assert not summary.ok
+        assert math.isnan(summary.max_weight_rel_err) and math.isnan(summary.max_lambda_rel_err)
+        assert summary.worst_weight_case.seed == summary.worst_lambda_case.seed == 1000
 
 
 def _decimal_grad_lambda(c, params):

@@ -12,6 +12,7 @@ from convexlab.network import (
     _activate,
     _activate_grad,
     _sigmoid,
+    _softmax,
     batch_losses,
     deserialize_model,
     forward,
@@ -244,6 +245,37 @@ class TestWeightedBackward:
 
 class TestKernelsBitIdentical:
     SPECIALS = (0.0, 1e-320, 709.8, 745.0, 800.0, np.inf)
+
+    def test_softmax_equals_row_max_formula(self):
+        rng = np.random.default_rng(4)
+        special = np.array([[1.0, np.nan, 3.0], [np.inf, 1.0, 2.0], [-np.inf, 0.0, 1.0],
+                            [np.inf, -np.inf, np.inf], [-np.inf] * 3, [0.0, -0.0, -1.0]])
+        for z in (rng.normal(scale=30.0, size=(7, 2)), rng.normal(size=(3, 5, 10)),
+                  rng.normal(size=(128, 7, 1)), rng.normal(size=(100, 10)), special):
+            with np.errstate(invalid="ignore"):
+                e = np.exp(z - z.max(axis=-1, keepdims=True))
+                expected = e / e.sum(axis=-1, keepdims=True)
+                got = _softmax(z)
+            assert got.tobytes() == expected.tobytes(), z.shape
+
+    @pytest.mark.parametrize("mode,out_dim", [("softmax-ce", 3), ("sigmoid-binary-ce", 1), ("identity-squared", 2)])
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_stacked_forward_rows_equal_single_forward(self, mode, out_dim, act):
+        # a width-1 hidden layer, and a width-16 one: on OpenBLAS a (K, 16)
+        # stack times a contiguous copy of the transposed weights rounds
+        # differently from one network times the transposed view
+        rng = np.random.default_rng(6)
+        for dims in ((4, 1, out_dim), (3, 16, out_dim)):
+            model = init_model(dims, act, mode, seed=2)
+            for m in (1, 7):
+                x = rng.normal(size=(m, dims[0]))
+                for k_count in (1, 128):
+                    stack = model.theta + rng.normal(scale=0.5, size=(k_count, model.param_count))
+                    acts = forward(unflatten(model, stack), x).acts
+                    for k in range(k_count):
+                        single = forward(unflatten(model, stack[k]), x).acts
+                        for layer, (a, b) in enumerate(zip(acts[1:], single[1:])):
+                            assert a[k].tobytes() == b.tobytes(), (dims, m, k_count, k, layer)
 
     def test_sigmoid_equals_masked_formula(self):
         specials = np.array(self.SPECIALS)
