@@ -49,13 +49,12 @@ from .network import (
     weighted_backward,
 )
 from .trainer import (
-    Criterion,
     DivergedError,
     EpochRecord,
     NoViableModelError,
     TrainConfig,
     TrainReport,
-    anrat_step,
+    anrat_lambda_step,
     detect_stagnancy,
     evaluate,
     grid_search,

@@ -93,8 +93,6 @@ KEY_SPECS = {
     "val_count": (1000, int, "hold-out validation samples"),
     "test_count": (1000, int, "test samples (from the designated test source)"),
     "noise_sd": (0.0, float, "observation noise for synthetic regression"),
-    "blob_classes": (10, int, "classes for the blobs dataset"),
-    "blob_dim": (16, int, "input dimension for the blobs dataset"),
     # network
     "net": ((784, 128, 10), _ints, "layer sizes d_0,...,d_L"),
     "activation": ("tanh", str, "hidden activation: sigmoid | tanh | relu"),
@@ -110,8 +108,6 @@ KEY_SPECS = {
     "a": (0.1, float, "penalty weight of the adaptive criterion"),
     "q": (1, int, "penalty index of the adaptive criterion"),
     "rho": (0.8, float, "per-epoch lam decay of the scheduled strategy"),
-    "stagnancy_window": (5, int, "epochs inspected by the stagnancy detector"),
-    "stagnancy_min_rel": (1e-4, float, "minimum relative val improvement over the window"),
     # grid search
     "lr_grid": ((1.0, 0.5, 0.1), _floats, "learning-rate grid"),
     "a_grid": ((1.0, 0.1, 0.001), _floats, "penalty-weight grid"),
@@ -215,9 +211,14 @@ def _echo_resolved(cfg: dict) -> str:
 
 
 def _load_datasets(cfg: dict):
-    """(train, val, test) SampleBatches plus the inferred output mode."""
+    """(train, val, test) SampleBatches plus the inferred output mode.
+    Blobs get net[0] input features and net[-1] classes, or two classes
+    with a sigmoid output for a one-unit net."""
     name = cfg["dataset"]
     seed = cfg["seed"]
+    for key in ("train_count", "val_count", "test_count"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     n_train, n_val, n_test = cfg["train_count"], cfg["val_count"], cfg["test_count"]
     if name == "mnist":
         source_train, source_test = load_mnist(default_data_dir(cfg["data_dir"] or None))
@@ -226,8 +227,9 @@ def _load_datasets(cfg: dict):
         return tr, va, te, "softmax-ce"
     total = n_train + n_val + n_test
     if name == "blobs":
-        full = synthetic_blobs(total, cfg["blob_classes"], cfg["blob_dim"], seed)
-        mode = "softmax-ce"
+        dims = cfg["net"]
+        full = synthetic_blobs(total, max(dims[-1], 2), dims[0], seed)
+        mode = "softmax-ce" if dims[-1] > 1 else "sigmoid-binary-ce"
     else:
         full = synthetic_regression(name, total, cfg["noise_sd"], seed)
         mode = "identity-squared"
@@ -255,10 +257,8 @@ def _train_config(cfg: dict, output_mode: str, strategy=None) -> TrainConfig:
         a=cfg["a"],
         q=cfg["q"],
         rho=cfg["rho"] if strategy == "scheduled" else None,
-        stagnancy_window=cfg["stagnancy_window"],
-        stagnancy_min_rel_improvement=cfg["stagnancy_min_rel"],
         seed=cfg["seed"],
-    ).validate()
+    )
 
 
 def cmd_fetch(cfg: dict) -> int:

@@ -8,10 +8,14 @@
     anrat      - joint SGD on (W, lam) with the lam**(-q) penalty
 
 plus hold-out evaluation, grid search over (learning rate, penalty weight),
-and stagnancy detection on the validation loss.
+and stagnancy detection on the validation loss over the last
+STAGNANCY_WINDOW epochs.
 
 One training run is a single sequential loop (SGD is order-dependent);
 grid-search runs are independent of each other and each owns its model.
+Every strategy steps through `sgd_step`; the criterion kind is resolved
+once per epoch from `CRITERION_KINDS`, and is 'rae' from the epoch after
+the scheduled switch.  anrat then moves lam by `anrat_lambda_step`.
 
 The scheduled switch changes only the logged criterion, not the update:
 every step, before and after it, applies the nrae weights with the
@@ -43,7 +47,14 @@ from .network import (
 )
 from .seeds import epoch_seed
 
-STRATEGIES = ("ce", "nrae-fixed", "scheduled", "anrat")
+# strategy -> criterion kind of its steps; scheduled's turns to 'rae' from
+# the epoch after its switch
+CRITERION_KINDS = {"ce": "ce", "nrae-fixed": "nrae", "scheduled": "nrae", "anrat": "anrat"}
+STRATEGIES = tuple(CRITERION_KINDS)
+
+# the stagnancy verdict of every run (see detect_stagnancy)
+STAGNANCY_WINDOW = 5
+STAGNANCY_MIN_REL_IMPROVEMENT = 1e-4
 
 DEFAULT_LR_GRID = (1.0, 0.5, 0.1)
 DEFAULT_A_GRID = (1.0, 0.1, 0.001)
@@ -67,12 +78,6 @@ class NoViableModelError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Criterion:
-    kind: str  # ce | rae | nrae | anrat
-    params: CriterionParams
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     strategy: str
     learning_rate: float
@@ -87,9 +92,10 @@ class TrainConfig:
     a: float = 0.1
     q: int = 1
     rho: float | None = None  # scheduled only
-    stagnancy_window: int = 5
-    stagnancy_min_rel_improvement: float = 1e-4
     seed: int = 0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "TrainConfig":
         if self.strategy not in STRATEGIES:
@@ -155,10 +161,10 @@ def _apply_update(model: MlpModel, grad: np.ndarray, lr: float) -> MlpModel:
     return replace(model, theta=np.subtract(model.theta, grad, out=grad))
 
 
-def sgd_step(model: MlpModel, batch: SampleBatch, criterion: Criterion,
+def sgd_step(model: MlpModel, batch: SampleBatch, kind: str, params: CriterionParams,
              learning_rate: float) -> tuple:
     """One descent step W <- W - lr * sum_i w_i grad(c_i) with the weights
-    of the active criterion (uniform 1/m for 'ce').
+    of criterion `kind` (uniform 1/m for 'ce').
 
     'rae' reports the raw criterion value but steps with the nrae weights:
     that is the raw-criterion gradient lam**p * RAE * sum_i w_i grad(c_i)
@@ -167,25 +173,22 @@ def sgd_step(model: MlpModel, batch: SampleBatch, criterion: Criterion,
     """
     cache = forward(model, batch.inputs)
     losses = batch_losses(cache.outputs, batch.targets, model.output_mode)
-    report = evaluate_criterion(losses, criterion.kind, criterion.params)
+    report = evaluate_criterion(losses, kind, params)
     grad = weighted_backward(model, batch, report.sample_weights, cache)
     return _apply_update(model, grad, learning_rate), report
 
 
-def anrat_step(model: MlpModel, lam: float, batch: SampleBatch, params: CriterionParams,
-               learning_rate: float, lambda_lr: float) -> tuple:
-    """Simultaneous update of W and lam, both gradients evaluated at the
-    pre-update point.
+def anrat_lambda_step(lam: float, lambda_grad: float, lambda_lr: float) -> float:
+    """anrat's lam after one step, taken with the lam derivative at the
+    same pre-update point as the weight step.
 
     lam is clamped to LAMBDA_MIN and its step is limited to halving or
     doubling: the penalty a*lam**(-q) is a barrier whose gradient blows up
     like lam**(-q-1) near the floor, and an unclamped explicit step there
     would catapult lam upward by orders of magnitude in one update.
     """
-    new_model, report = sgd_step(model, batch, Criterion("anrat", replace(params, lam=lam)), learning_rate)
-    new_lam = lam - lambda_lr * report.lambda_grad
-    new_lam = max(LAMBDA_MIN, min(max(new_lam, 0.5 * lam), 2.0 * lam))
-    return new_model, new_lam, report
+    new_lam = lam - lambda_lr * lambda_grad
+    return max(LAMBDA_MIN, min(max(new_lam, 0.5 * lam), 2.0 * lam))
 
 
 def scheduled_update(lam: float, switched: bool, max_loss: float, rho: float,
@@ -200,13 +203,13 @@ def scheduled_update(lam: float, switched: bool, max_loss: float, rho: float,
     return lam, lam**p * max_loss <= EXP_CAP
 
 
-def detect_stagnancy(records, window: int, min_rel_improvement: float) -> bool:
-    """True iff the validation loss improved by less than
-    min_rel_improvement (relative) over the last `window` epochs.  Fewer
-    records than `window` is insufficient evidence, hence False."""
+def detect_stagnancy(vals, window: int = STAGNANCY_WINDOW,
+                     min_rel_improvement: float = STAGNANCY_MIN_REL_IMPROVEMENT) -> bool:
+    """True iff the per-epoch validation losses `vals` improved by less
+    than min_rel_improvement (relative) over the last `window` epochs.
+    Fewer values than `window` is insufficient evidence, hence False."""
     if window < 2:
         raise ValueError("window must be >= 2")
-    vals = [getattr(r, "val_ce", r) for r in records]
     if len(vals) < window:
         return False
     first, last = vals[-window], vals[-1]
@@ -236,10 +239,11 @@ def evaluate(model: MlpModel, dataset: SampleBatch) -> tuple:
 def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> TrainReport:
     """Run one strategy end to end.  Raises DivergedError on any non-finite
     loss, gradient, or parameter."""
-    config.validate()
     model = init_model(config.layer_dims, config.activation, config.output_mode, config.seed)
     lam = max(config.lambda0, LAMBDA_MIN)
     lam_lr = config.effective_lambda_lr
+    # a and q enter the anrat criterion only
+    a, q = (config.a, config.q) if config.strategy == "anrat" else (0.0, 1)
     switched = False
     records = []
     best_epoch = -1
@@ -253,25 +257,17 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
     max_loss_seen = 0.0
     for ep in range(config.epochs):
         t0 = time.perf_counter()
+        kind = "rae" if switched else CRITERION_KINDS[config.strategy]
         crit_sum = ce_sum = 0.0
         seen = 0
         # overflow or an invalid operation in a step or the evaluation is divergence
         with np.errstate(over="raise", invalid="raise"):
             for bi, batch in enumerate(batches(train_set, config.batch_size, epoch_seed(config.seed, ep))):
                 try:
-                    if config.strategy == "anrat":
-                        params = CriterionParams(lam=lam, p=config.p, a=config.a, q=config.q)
-                        model, lam, report = anrat_step(
-                            model, lam, batch, params, config.learning_rate, lam_lr
-                        )
-                    else:
-                        kind = {
-                            "ce": "ce",
-                            "nrae-fixed": "nrae",
-                            "scheduled": "rae" if switched else "nrae",
-                        }[config.strategy]
-                        params = CriterionParams(lam=lam, p=config.p)
-                        model, report = sgd_step(model, batch, Criterion(kind, params), config.learning_rate)
+                    params = CriterionParams(lam=lam, p=config.p, a=a, q=q)
+                    model, report = sgd_step(model, batch, kind, params, config.learning_rate)
+                    if kind == "anrat":
+                        lam = anrat_lambda_step(lam, report.lambda_grad, lam_lr)
                 except (FloatingPointError, NumericDomainError) as exc:
                     raise DivergedError(ep, bi, str(exc)) from exc
                 if not np.isfinite(report.criterion_value):
@@ -305,7 +301,7 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
             best_epoch = ep
             best_model = model.copy()
 
-    stagnant = detect_stagnancy(records, config.stagnancy_window, config.stagnancy_min_rel_improvement)
+    stagnant = detect_stagnancy([r.val_ce for r in records])
     return TrainReport(records, best_epoch, best_model, stagnant, model, lam)
 
 
@@ -342,7 +338,7 @@ def grid_search(base_config: TrainConfig, train_set: SampleBatch, val_set: Sampl
                 learning_rate=lr,
                 a=a,
                 rho=None,
-            ).validate()
+            )
             try:
                 report = train(cfg, train_set, val_set)
             except DivergedError:

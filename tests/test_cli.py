@@ -14,12 +14,13 @@ from convexlab.cli import (
     KEY_SPECS,
     ConfigError,
     _build_config,
+    _load_datasets,
     build_parser,
     main,
     parse_config_file,
     resolved_text,
 )
-from convexlab.data import MNIST_FILES, write_idx_images, write_idx_labels
+from convexlab.data import MNIST_FILES, synthetic_blobs, write_idx_images, write_idx_labels
 
 SINE_TRAIN = [
     "--set", "dataset=sine", "--set", "net=1,8,1", "--set", "train_count=120",
@@ -65,10 +66,12 @@ class TestConfigParsing:
 
     def test_removed_switch_cap_key_exit_1(self, tmp_path, capsys):
         # the scheduled switch always uses EXP_CAP, no code read the
-        # synthetic `samples` size, and the finite-difference steps are the
-        # oracles' own constants; an old config that still sets any of these
-        # is refused, not silently ignored
-        for key in ("switch_cap", "samples", "gc_h", "scan_h"):
+        # synthetic `samples` size, the finite-difference steps are the
+        # oracles' own constants, blobs take their shape from `net`, and the
+        # stagnancy detector uses the trainer's constants; an old config that
+        # still sets any of these is refused, not silently ignored
+        for key in ("switch_cap", "samples", "gc_h", "scan_h", "blob_dim", "blob_classes",
+                    "stagnancy_window", "stagnancy_min_rel"):
             cfg_file = tmp_path / "old.cfg"
             cfg_file.write_text(f"strategy = scheduled\n{key} = 200\n")
             assert run(["train", "--config", cfg_file, "--out", tmp_path / "out"] + SINE_TRAIN) == EXIT_CONFIG
@@ -187,6 +190,60 @@ class TestTrainCommand:
         if strategy == "scheduled":
             # the strategy-conditional default must land in the echo
             assert "lambda0 = 100.0" in (out1 / "first.resolved.cfg").read_text()
+
+
+class TestDatasets:
+    BLOBS = ["--set", "dataset=blobs", "--set", "train_count=60", "--set", "val_count=20",
+             "--set", "test_count=20", "--set", "epochs=1", "--set", "batch_size=20"]
+
+    def test_blobs_with_default_net(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["train", "--strategy", "ce", "--out", out] + self.BLOBS) == EXIT_OK
+        assert (out / "run.metrics.csv").exists()
+
+    def test_blobs_one_unit_net_is_binary(self, tmp_path):
+        args = ["train", "--strategy", "ce", "--out", tmp_path, "--set", "net=4,3,1"] + self.BLOBS
+        assert run(args) == EXIT_OK
+        tr, _, _, mode = _load_datasets(resolve(args))
+        assert mode == "sigmoid-binary-ce"
+        assert tr.inputs.shape == (60, 4) and set(tr.targets.tolist()) == {0, 1}
+
+    def test_blobs_draw_from_net_shape(self):
+        # the same draw as the net's input width and class count always gave
+        cfg = resolve(["train", "--strategy", "ce", "--seed", "5", "--set", "net=16,8,10"] + self.BLOBS)
+        tr, va, te, mode = _load_datasets(cfg)
+        full = synthetic_blobs(100, 10, 16, 5)
+        assert mode == "softmax-ce"
+        for part, lo, hi in ((tr, 0, 60), (va, 60, 80), (te, 80, 100)):
+            assert np.array_equal(part.inputs, full.inputs[lo:hi])
+            assert np.array_equal(part.targets, full.targets[lo:hi])
+
+    @pytest.mark.parametrize("key", ["train_count", "val_count", "test_count"])
+    def test_empty_blobs_split_exit_1(self, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        assert run(["train", "--strategy", "ce", "--out", out] + self.BLOBS + ["--set", f"{key}=0"]) == EXIT_CONFIG
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not (out / "run.metrics.csv").exists()
+
+    def test_empty_mnist_split_exit_1(self, tmp_path, capsys):
+        # refused before the (valid) files are read or anything is trained
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        rng = np.random.default_rng(0)
+        for name in MNIST_FILES:
+            if "images" in name:
+                write_idx_images(data_dir / name, rng.integers(0, 256, size=(30, 28, 28), dtype=np.uint8))
+            else:
+                write_idx_labels(data_dir / name, rng.integers(0, 10, size=30, dtype=np.uint8))
+        out = tmp_path / "out"
+        split = ["--set", "train_count=20", "--set", "val_count=5", "--set", "epochs=1",
+                 "--set", "batch_size=10"]
+        assert run(["train", "--strategy", "ce", "--data-dir", data_dir, "--out", out]
+                   + split + ["--set", "test_count=0"]) == EXIT_CONFIG
+        assert "test_count must be >= 1" in capsys.readouterr().err
+        assert not (out / "run.metrics.csv").exists()
+        assert run(["train", "--strategy", "ce", "--data-dir", data_dir, "--out", out]
+                   + split + ["--set", "test_count=5"]) == EXIT_OK
 
 
 class TestEvalCommand:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,10 @@ from convexlab.criteria import LAMBDA_MIN, CriterionParams, sample_weights
 from convexlab.data import SampleBatch, synthetic_blobs, synthetic_regression
 from convexlab.network import batch_losses, forward, init_model, weighted_backward
 from convexlab.trainer import (
-    Criterion,
     DivergedError,
     NoViableModelError,
     TrainConfig,
-    anrat_step,
+    anrat_lambda_step,
     detect_stagnancy,
     evaluate,
     grid_search,
@@ -44,13 +44,13 @@ class TestSgdStep:
         model = init_model([2, 1], "tanh", "identity-squared", seed=0)
         model.weights[0][:] = 0.0
         batch = SampleBatch(np.ones((4, 2)), np.zeros(4))
-        updated, report = sgd_step(model, batch, Criterion("ce", CriterionParams(1.0)), 0.5)
+        updated, report = sgd_step(model, batch, "ce", CriterionParams(1.0), 0.5)
         assert np.array_equal(updated.theta, model.theta)
         assert report.criterion_value == 0.0
 
     def test_zero_learning_rate_reports_losses(self):
         model, batch = small_batch()
-        updated, report = sgd_step(model, batch, Criterion("ce", CriterionParams(1.0)), 0.0)
+        updated, report = sgd_step(model, batch, "ce", CriterionParams(1.0), 0.0)
         assert np.array_equal(updated.theta, model.theta)
         assert report.ce_value > 0
 
@@ -59,10 +59,8 @@ class TestSgdStep:
         # is 1e-9, so the two updates agree well within 1e-6 relative
         model, batch = small_batch(seed=3)
         lr = 0.3
-        up_ce, _ = sgd_step(model, batch, Criterion("ce", CriterionParams(1.0)), lr)
-        up_nrae, _ = sgd_step(
-            model, batch, Criterion("nrae", CriterionParams(LAMBDA_MIN, p=3)), lr
-        )
+        up_ce, _ = sgd_step(model, batch, "ce", CriterionParams(1.0), lr)
+        up_nrae, _ = sgd_step(model, batch, "nrae", CriterionParams(LAMBDA_MIN, p=3), lr)
         delta_ce = up_ce.theta - model.theta
         delta_nrae = up_nrae.theta - model.theta
         scale = np.abs(delta_ce).max()
@@ -73,8 +71,8 @@ class TestSgdStep:
         # identical to the log-domain one
         model, batch = small_batch(seed=4)
         params = CriterionParams(2.0)
-        up_rae, rep = sgd_step(model, batch, Criterion("rae", params), 0.2)
-        up_nrae, _ = sgd_step(model, batch, Criterion("nrae", params), 0.2)
+        up_rae, rep = sgd_step(model, batch, "rae", params, 0.2)
+        up_nrae, _ = sgd_step(model, batch, "nrae", params, 0.2)
         assert np.array_equal(up_rae.theta, up_nrae.theta)
         assert rep.criterion_value >= 1.0  # raw criterion value, not the log
 
@@ -95,26 +93,33 @@ class TestSgdStep:
         assert abs(cos - 1.0) <= 1e-9
 
 
+def anrat_update(model, lam, batch, params, learning_rate, lambda_lr):
+    """The anrat update of `train`: the weight step and the lam step, both
+    from the gradients at the pre-update point."""
+    new_model, report = sgd_step(model, batch, "anrat", replace(params, lam=lam), learning_rate)
+    return new_model, anrat_lambda_step(lam, report.lambda_grad, lambda_lr), report
+
+
 class TestAnratStep:
     def test_equal_losses_penalty_drives_lambda_up(self):
         model = init_model([2, 1], "tanh", "identity-squared", seed=0)
         model.weights[0][:] = 0.0
         batch = SampleBatch(np.ones((4, 2)), np.full(4, 0.5))  # identical losses
         params = CriterionParams(lam=10.0, a=0.5, q=1)
-        _, new_lam, report = anrat_step(model, 10.0, batch, params, 0.1, 1.0)
+        _, new_lam, report = anrat_update(model, 10.0, batch, params, 0.1, 1.0)
         assert new_lam > 10.0
         assert report.lambda_grad < 0
 
     def test_no_penalty_lambda_never_increases(self):
         model, batch = small_batch(seed=6)
         params = CriterionParams(lam=5.0, a=0.0)
-        _, new_lam, _ = anrat_step(model, 5.0, batch, params, 0.1, 0.5)
+        _, new_lam, _ = anrat_update(model, 5.0, batch, params, 0.1, 0.5)
         assert new_lam <= 5.0
 
     def test_clamped_at_floor(self):
         model, batch = small_batch(seed=7)
         params = CriterionParams(lam=LAMBDA_MIN, a=0.0)
-        _, new_lam, _ = anrat_step(model, LAMBDA_MIN, batch, params, 0.1, 100.0)
+        _, new_lam, _ = anrat_update(model, LAMBDA_MIN, batch, params, 0.1, 100.0)
         assert new_lam == LAMBDA_MIN
 
     def test_step_never_more_than_doubles_or_halves(self):
@@ -124,16 +129,22 @@ class TestAnratStep:
         model.weights[0][:] = 0.0
         batch = SampleBatch(np.ones((4, 2)), np.zeros(4))
         params = CriterionParams(lam=LAMBDA_MIN, a=1.0, q=2)
-        _, new_lam, report = anrat_step(model, LAMBDA_MIN, batch, params, 0.1, 1.0)
+        _, new_lam, report = anrat_update(model, LAMBDA_MIN, batch, params, 0.1, 1.0)
         assert report.lambda_grad < -1e6
         assert new_lam == pytest.approx(2 * LAMBDA_MIN)
+
+    def test_lambda_step_clamps(self):
+        assert anrat_lambda_step(1.0, 0.1, 1.0) == pytest.approx(0.9)
+        assert anrat_lambda_step(1.0, 10.0, 1.0) == 0.5  # at most halved
+        assert anrat_lambda_step(1.0, -10.0, 1.0) == 2.0  # at most doubled
+        assert anrat_lambda_step(LAMBDA_MIN, 1.0, 1.0) == LAMBDA_MIN  # floored
 
     def test_update_sign_matches_gradient(self):
         model, batch = small_batch(seed=8)
         lam = 3.0
         for _ in range(20):
             params = CriterionParams(lam=lam, a=0.1)
-            model, new_lam, report = anrat_step(model, lam, batch, params, 0.1, 0.05)
+            model, new_lam, report = anrat_update(model, lam, batch, params, 0.1, 0.05)
             moved = new_lam - lam
             if new_lam > LAMBDA_MIN:
                 assert moved == pytest.approx(-0.05 * report.lambda_grad, rel=1e-12)
@@ -158,6 +169,42 @@ class TestScheduledUpdate:
     def test_floor_at_one(self):
         lam, _ = scheduled_update(1.1, False, max_loss=1e9, rho=0.5)
         assert lam == 1.0
+
+
+class TestCriterionKinds:
+    """The criterion kind `train` hands to evaluate_criterion, batch by batch."""
+
+    def kinds_per_epoch(self, monkeypatch, cfg):
+        tr, va, _ = blobs_splits(n=400)
+        kinds = []
+        real = trainer.evaluate_criterion
+
+        def recording(losses, kind, params):
+            kinds.append(kind)
+            return real(losses, kind, params)
+
+        monkeypatch.setattr(trainer, "evaluate_criterion", recording)
+        report = train(cfg, tr, va)
+        per_epoch = -(-tr.size // cfg.batch_size)
+        assert len(kinds) == cfg.epochs * per_epoch
+        return [kinds[i:i + per_epoch] for i in range(0, len(kinds), per_epoch)], report
+
+    @pytest.mark.parametrize("strategy, kind", [("ce", "ce"), ("nrae-fixed", "nrae"), ("anrat", "anrat")])
+    def test_fixed_kind_every_batch(self, monkeypatch, strategy, kind):
+        cfg = TrainConfig(strategy=strategy, learning_rate=0.1, epochs=2, batch_size=40,
+                          layer_dims=BLOBS_NET, seed=0)
+        epochs, _ = self.kinds_per_epoch(monkeypatch, cfg)
+        assert all(k == kind for ep in epochs for k in ep)
+
+    def test_scheduled_turns_rae_after_switch_epoch(self, monkeypatch):
+        # 12.5 * MAX_CLAMPED_LOSS fits under EXP_CAP: the switch comes at the
+        # end of epoch 0, and the raw criterion runs from epoch 1 on
+        cfg = TrainConfig(strategy="scheduled", learning_rate=0.1, epochs=3, batch_size=40,
+                          layer_dims=BLOBS_NET, lambda0=25.0, rho=0.5, seed=0)
+        epochs, report = self.kinds_per_epoch(monkeypatch, cfg)
+        assert [r.switched_to_rae for r in report.records] == [True] * 3
+        assert epochs[0] == ["nrae"] * len(epochs[0])
+        assert all(k == "rae" for ep in epochs[1:] for k in ep)
 
 
 class TestDetectStagnancy:
@@ -279,15 +326,17 @@ class TestTrainLoop:
 
     def test_config_validation(self):
         good = dict(learning_rate=0.1, epochs=1, batch_size=10, layer_dims=(4, 2))
+        # a config validates itself when built, and on request
         with pytest.raises(ValueError):
-            TrainConfig(strategy="sgd", **good).validate()
+            TrainConfig(strategy="sgd", **good)
         with pytest.raises(ValueError):
-            TrainConfig(strategy="scheduled", **good).validate()  # rho missing
+            TrainConfig(strategy="scheduled", **good)  # rho missing
         with pytest.raises(ValueError):
-            TrainConfig(strategy="ce", rho=0.8, **good).validate()
+            TrainConfig(strategy="ce", rho=0.8, **good)
         with pytest.raises(ValueError):
-            TrainConfig(strategy="ce", lambda_lr=0.1, **good).validate()
-        cfg = TrainConfig(strategy="anrat", **good).validate()
+            TrainConfig(strategy="ce", lambda_lr=0.1, **good)
+        cfg = TrainConfig(strategy="anrat", **good)
+        assert cfg.validate() is cfg
         assert cfg.effective_lambda_lr == pytest.approx(0.1)
         assert TrainConfig(strategy="anrat", lambda_lr=0.02, **good).effective_lambda_lr == 0.02
 
