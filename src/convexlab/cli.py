@@ -7,9 +7,11 @@ defaults, then the `--config` file (one pair per line, `#` comments), then
 shorthand for `--set` on one key (`COMMANDS`), so each value, whatever its
 source, is parsed once by its key's parser into a plain dict before any data
 is loaded; unknown keys are rejected, and so are `train` without `strategy`
-and `eval` without `model`.  `train`, `gridsearch` and `scan` echo every key
-to `<run>.resolved.cfg`, which reproduces the run.  Exit codes are stable: 0
-ok, 1 config/usage, 2 transport, 3 training failure, 4 verification failure.
+and `eval` without `model`.  `train` and `gridsearch` build their
+`TrainConfig`s, every grid point included, before loading data too.
+`train`, `gridsearch` and `scan` echo every key to `<run>.resolved.cfg`,
+which reproduces the run.  Exit codes are stable: 0 ok, 1 config/usage,
+2 transport, 3 training failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .trainer import (
     NoViableModelError,
     TrainConfig,
     evaluate,
+    grid_configs,
     grid_search,
     train,
     write_grid_csv,
@@ -210,38 +213,49 @@ def _echo_resolved(cfg: dict) -> str:
     return path
 
 
+def _dataset_output_mode(cfg: dict) -> str:
+    """The output mode `dataset` and `net` imply: softmax for MNIST and
+    blobs, sigmoid for blobs on a one-unit net, regression for the rest."""
+    if cfg["dataset"] == "mnist":
+        return "softmax-ce"
+    if cfg["dataset"] == "blobs":
+        return "softmax-ce" if cfg["net"][-1] > 1 else "sigmoid-binary-ce"
+    return "identity-squared"
+
+
 def _load_datasets(cfg: dict):
     """(train, val, test) SampleBatches plus the inferred output mode.
     Blobs get net[0] input features and net[-1] classes, or two classes
-    with a sigmoid output for a one-unit net."""
+    for a one-unit net."""
     name = cfg["dataset"]
     seed = cfg["seed"]
     for key in ("train_count", "val_count", "test_count"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     n_train, n_val, n_test = cfg["train_count"], cfg["val_count"], cfg["test_count"]
+    mode = _dataset_output_mode(cfg)
     if name == "mnist":
         source_train, source_test = load_mnist(default_data_dir(cfg["data_dir"] or None))
         spec = SplitSpec(n_train, n_val, n_test, shuffle_seed=seed)
         tr, va, te = split(source_train, source_test, spec)
-        return tr, va, te, "softmax-ce"
+        return tr, va, te, mode
     total = n_train + n_val + n_test
     if name == "blobs":
         dims = cfg["net"]
         full = synthetic_blobs(total, max(dims[-1], 2), dims[0], seed)
-        mode = "softmax-ce" if dims[-1] > 1 else "sigmoid-binary-ce"
     else:
         full = synthetic_regression(name, total, cfg["noise_sd"], seed)
-        mode = "identity-squared"
     parts = np.split(np.arange(total), [n_train, n_train + n_val])
     return full.take(parts[0]), full.take(parts[1]), full.take(parts[2]), mode
 
 
-def _train_config(cfg: dict, output_mode: str, strategy=None) -> TrainConfig:
+def _train_config(cfg: dict, strategy=None) -> TrainConfig:
+    """The run's TrainConfig, which validates itself: built before any data
+    loads, so a bad value is named first."""
     strategy = strategy or cfg["strategy"]
     mode = cfg["output_mode"]
     if mode == "auto":
-        mode = output_mode
+        mode = _dataset_output_mode(cfg)
     lambda_lr = cfg["lambda_lr"]
     return TrainConfig(
         strategy=strategy,
@@ -274,8 +288,8 @@ def cmd_fetch(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    train_set, val_set, test_set, inferred = _load_datasets(cfg)
-    tc = _train_config(cfg, inferred)
+    tc = _train_config(cfg)
+    train_set, val_set, test_set, _ = _load_datasets(cfg)
     _echo_resolved(cfg)
     report = train(tc, train_set, val_set)
     metrics_path = _out_path(cfg, ".metrics.csv")
@@ -293,8 +307,9 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_gridsearch(cfg: dict) -> int:
-    train_set, val_set, test_set, inferred = _load_datasets(cfg)
-    base = _train_config(cfg, inferred, strategy="anrat")
+    base = _train_config(cfg, strategy="anrat")
+    grid_configs(base, cfg["lr_grid"], cfg["a_grid"])  # refuses a bad grid point
+    train_set, val_set, test_set, _ = _load_datasets(cfg)
     _echo_resolved(cfg)
     result = grid_search(base, train_set, val_set, cfg["lr_grid"], cfg["a_grid"])
     path = _out_path(cfg, ".grid.csv")

@@ -5,8 +5,9 @@ IDX files are parsed big-endian with the standard magics (0x00000803 for
 image tensors, 0x00000801 for label vectors); pixels are scaled by 1/255
 into [0, 1].  `fetch_mnist` downloads and decompresses the four gzip files
 with an atomic write-then-rename so a failed transfer never leaves partial
-files behind.  Loaded datasets are immutable and safe to share across
-concurrent readers.
+files behind.  The network stack (urllib, http.client, ssl) is imported
+only when `fetch_mnist` runs, so `import convexlab` does not load it.
+Loaded datasets are immutable and safe to share across concurrent readers.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import gzip
 import os
 import struct
 import tempfile
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +163,10 @@ def fetch_mnist(base_url: str = DEFAULT_MNIST_URL, dest_dir: str = "data") -> li
     no network traffic happens for them.  Returns the four local paths in
     MNIST_FILES order.
     """
+    # imported here, not with the package: nothing else downloads
+    import urllib.error
+    import urllib.request
+
     os.makedirs(dest_dir, exist_ok=True)
     if not base_url.endswith("/"):
         base_url += "/"

@@ -104,8 +104,12 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.lambda0 <= 0:
-            raise ValueError("lambda0 must be positive")
+        if not (np.isfinite(self.lambda0) and self.lambda0 > 0):
+            raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
+        # p, and a and q where the strategy reads them, by the criterion's
+        # own rules: refused when the config is built, not at the first batch
+        a, q = self.penalty
+        CriterionParams(lam=self.lambda0, p=self.p, a=a, q=q)
         if self.strategy == "scheduled":
             if self.rho is None or not (0.0 < self.rho < 1.0):
                 raise ValueError("scheduled strategy requires a decay rho in (0, 1)")
@@ -116,6 +120,11 @@ class TrainConfig:
         if self.lambda_lr is not None and self.lambda_lr <= 0:
             raise ValueError("lambda_lr must be positive")
         return self
+
+    @property
+    def penalty(self) -> tuple:
+        """(a, q) of the criterion: the a*lam**(-q) penalty enters anrat only."""
+        return (self.a, self.q) if self.strategy == "anrat" else (0.0, 1)
 
     @property
     def effective_lambda_lr(self) -> float:
@@ -242,8 +251,7 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
     model = init_model(config.layer_dims, config.activation, config.output_mode, config.seed)
     lam = max(config.lambda0, LAMBDA_MIN)
     lam_lr = config.effective_lambda_lr
-    # a and q enter the anrat criterion only
-    a, q = (config.a, config.q) if config.strategy == "anrat" else (0.0, 1)
+    a, q = config.penalty
     switched = False
     records = []
     best_epoch = -1
@@ -321,31 +329,33 @@ class GridSearchResult:
     best_report: TrainReport
 
 
+def grid_configs(base_config: TrainConfig, lr_grid=DEFAULT_LR_GRID,
+                 a_grid=DEFAULT_A_GRID) -> list:
+    """The anrat configuration of every (learning rate, penalty weight)
+    point, learning rate outermost.  Each validates itself, so a bad point
+    is refused before any point trains."""
+    if not lr_grid or not a_grid:
+        raise ValueError("grids must be non-empty")
+    return [replace(base_config, strategy="anrat", learning_rate=lr, a=a, rho=None)
+            for lr in lr_grid for a in a_grid]
+
+
 def grid_search(base_config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch,
                 lr_grid=DEFAULT_LR_GRID, a_grid=DEFAULT_A_GRID) -> GridSearchResult:
     """Train the adaptive strategy once per (learning rate, penalty weight)
     combination from base_config.lambda0, rank by the best validation loss.
     Diverged runs are recorded but excluded from the ranking."""
-    if not lr_grid or not a_grid:
-        raise ValueError("grids must be non-empty")
     scored = []
     failed = []
-    for lr in lr_grid:
-        for a in a_grid:
-            cfg = replace(
-                base_config,
-                strategy="anrat",
-                learning_rate=lr,
-                a=a,
-                rho=None,
-            )
-            try:
-                report = train(cfg, train_set, val_set)
-            except DivergedError:
-                failed.append(GridRow(lr, a, float("nan"), float("nan"), "diverged"))
-                continue
-            row = GridRow(lr, a, report.best_val_ce, report.best_val_error, "ok")
-            scored.append((row, report))
+    for cfg in grid_configs(base_config, lr_grid, a_grid):
+        lr, a = cfg.learning_rate, cfg.a
+        try:
+            report = train(cfg, train_set, val_set)
+        except DivergedError:
+            failed.append(GridRow(lr, a, float("nan"), float("nan"), "diverged"))
+            continue
+        row = GridRow(lr, a, report.best_val_ce, report.best_val_error, "ok")
+        scored.append((row, report))
     if not scored:
         raise NoViableModelError("every grid combination diverged")
     order = sorted(range(len(scored)), key=lambda i: (scored[i][0].best_val_ce, i))

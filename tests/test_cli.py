@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import convexlab.cli as cli
 from convexlab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -244,6 +245,37 @@ class TestDatasets:
         assert not (out / "run.metrics.csv").exists()
         assert run(["train", "--strategy", "ce", "--data-dir", data_dir, "--out", out]
                    + split + ["--set", "test_count=5"]) == EXIT_OK
+
+
+class TestCriterionValues:
+    """p, a and q are checked by the criterion's rules before any data loads."""
+
+    SINE = ["--set", "dataset=sine", "--set", "net=1,4,1", "--set", "train_count=20",
+            "--set", "val_count=5", "--set", "test_count=5", "--set", "epochs=1"]
+
+    @pytest.mark.parametrize("argv, key", [
+        (["train", "--strategy", "ce", "--set", "p=0"], "p"),
+        (["train", "--strategy", "anrat", "--set", "a=-1"], "a"),
+        (["train", "--strategy", "anrat", "--set", "q=0"], "q"),
+        (["gridsearch", "--set", "q=0"], "q"),
+        (["gridsearch", "--set", "a_grid=0.1,-1"], "a"),
+        (["gridsearch", "--set", "p=0"], "p"),
+    ], ids=["ce-p", "anrat-a", "anrat-q", "grid-q", "grid-a-point", "grid-p"])
+    def test_bad_value_exit_1_before_data(self, tmp_path, capsys, monkeypatch, argv, key):
+        loads = []
+        monkeypatch.setattr(cli, "_load_datasets", lambda cfg: loads.append(cfg))
+        out = tmp_path / "out"
+        assert run(argv + ["--out", out] + self.SINE) == EXIT_CONFIG
+        assert re.search(rf"\b{key} must be", capsys.readouterr().err)
+        assert loads == []
+        assert not (out / "run.resolved.cfg").exists()
+
+    def test_ce_ignores_penalty_values(self, tmp_path):
+        # ce never reads a or q
+        out = tmp_path / "out"
+        assert run(["train", "--strategy", "ce", "--set", "a=-1", "--set", "q=0",
+                    "--out", out] + self.SINE) == EXIT_OK
+        assert (out / "run.metrics.csv").exists()
 
 
 class TestEvalCommand:

@@ -1,7 +1,10 @@
 import gzip
 import math
 import os
+import subprocess
+import sys
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +151,19 @@ class TestFetch:
         # first file landed, corrupted one did not
         assert os.path.exists(os.path.join(dest, MNIST_FILES[0]))
         assert not os.path.exists(os.path.join(dest, MNIST_FILES[1]))
+
+
+def test_import_leaves_network_stack_unloaded():
+    # a fresh interpreter: this one has urllib loaded by the fetch tests
+    src = Path(__file__).resolve().parent.parent / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    probe = ("import sys, convexlab; "
+             "print(' '.join(m for m in ('urllib.request', 'http.client', 'ssl', 'email') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == []
 
 
 class TestSplit:

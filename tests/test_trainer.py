@@ -340,6 +340,22 @@ class TestTrainLoop:
         assert cfg.effective_lambda_lr == pytest.approx(0.1)
         assert TrainConfig(strategy="anrat", lambda_lr=0.02, **good).effective_lambda_lr == 0.02
 
+    @pytest.mark.parametrize("strategy, field, value", [
+        ("ce", "p", 0), ("anrat", "p", 2.5), ("anrat", "a", -1.0), ("anrat", "a", np.nan),
+        ("anrat", "q", 0), ("ce", "lambda0", np.inf), ("ce", "lambda0", np.nan),
+    ])
+    def test_criterion_values_refused(self, strategy, field, value):
+        good = dict(learning_rate=0.1, epochs=1, batch_size=10, layer_dims=(4, 2))
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            TrainConfig(strategy=strategy, **good, **{field: value})
+
+    def test_penalty_checked_for_anrat_only(self):
+        good = dict(learning_rate=0.1, epochs=1, batch_size=10, layer_dims=(4, 2))
+        for strategy in ("ce", "nrae-fixed"):
+            cfg = TrainConfig(strategy=strategy, a=-1.0, q=0, **good)
+            assert cfg.penalty == (0.0, 1)
+        assert TrainConfig(strategy="anrat", a=0.5, q=2, **good).penalty == (0.5, 2)
+
 
 class TestIntegrationSurrogate:
     """Desk-scale behavior on a synthetic 10-class task (stands in for the
@@ -429,6 +445,16 @@ class TestGridSearch:
         monkeypatch.setattr(trainer, "train", recording)
         grid_search(base, tr, va, lr_grid=(0.5,), a_grid=(0.1, 1.0))
         assert seen == [("anrat", 5.0)] * 2
+
+    def test_bad_point_refused_before_training(self, monkeypatch):
+        tr, va, _ = blobs_splits(n=400)
+        base = TrainConfig(strategy="anrat", learning_rate=0.1, epochs=1, batch_size=40,
+                           layer_dims=BLOBS_NET, seed=4)
+        seen = []
+        monkeypatch.setattr(trainer, "train", lambda cfg, *args: seen.append(cfg))
+        with pytest.raises(ValueError, match="a must be"):
+            grid_search(base, tr, va, lr_grid=(0.5,), a_grid=(0.1, -1.0))
+        assert seen == []
 
     def test_all_diverged(self):
         full = synthetic_regression("sine", 200, 0.0, seed=0)
