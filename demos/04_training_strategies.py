@@ -23,7 +23,7 @@ full = SampleBatch(full.inputs, 6.0 * full.targets)
 tr, va, te = full.take(range(300)), full.take(range(300, 400)), full.take(range(400, 500))
 
 base = dict(learning_rate=0.02, epochs=14, batch_size=25,
-            layer_dims=(1, 16, 1), output_mode="identity-squared", seed=1)
+            layer_dims=(1, 16, 1), seed=1)
 
 runs = {
     "ce": TrainConfig(strategy="ce", **base),
@@ -53,7 +53,7 @@ print(f"adaptive lam trajectory:  {[round(r.lam, 2) for r in an]}")
 stag_full = synthetic_regression("sine", 500, 0.0, seed=2)
 s_tr, s_va = stag_full.take(range(350)), stag_full.take(range(350, 500))
 stag_base = dict(learning_rate=0.05, epochs=10, batch_size=25,
-                 layer_dims=(1, 16, 1), output_mode="identity-squared", seed=1)
+                 layer_dims=(1, 16, 1), seed=1)
 stuck = train(TrainConfig(strategy="nrae-fixed", lambda0=1000.0, **stag_base), s_tr, s_va)
 smooth = train(TrainConfig(strategy="ce", **stag_base), s_tr, s_va)
 print("\nextreme lam: validation loss per epoch")

@@ -8,10 +8,12 @@ shorthand for `--set` on one key (`COMMANDS`), so each value, whatever its
 source, is parsed once by its key's parser into a plain dict before any data
 is loaded; unknown keys are rejected, and so are `train` without `strategy`
 and `eval` without `model`.  `train` and `gridsearch` build their
-`TrainConfig`s, every grid point included, before loading data too.
+`TrainConfig`s, every grid point included, before loading data too.  No key
+sets the output mode: `network.output_mode_for` derives it from the
+targets, and labels that `net` cannot fit are refused as the data loads.
 `train`, `gridsearch` and `scan` echo every key to `<run>.resolved.cfg`,
-which reproduces the run.  Exit codes are stable: 0 ok, 1 config/usage,
-2 transport, 3 training failure, 4 verification failure.
+which reproduces the run; a refused run writes none.  Stable exit codes: 0 ok,
+1 config/usage, 2 transport, 3 training failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .data import (
     synthetic_regression,
 )
 from .gradcheck import run_gradcheck
-from .network import deserialize_model, init_model, serialize_model
+from .network import deserialize_model, init_model, output_mode_for, serialize_model
 from .seeds import rng_for
 from .trainer import (
     STRATEGIES,
@@ -99,7 +101,6 @@ KEY_SPECS = {
     # network
     "net": ((784, 128, 10), _ints, "layer sizes d_0,...,d_L"),
     "activation": ("tanh", str, "hidden activation: sigmoid | tanh | relu"),
-    "output_mode": ("auto", str, "softmax-ce | sigmoid-binary-ce | identity-squared | auto"),
     # training
     "strategy": ("", _choice("", *STRATEGIES), " | ".join(STRATEGIES) + " (train requires it)"),
     "learning_rate": (0.5, float, "SGD step size for the weights"),
@@ -213,49 +214,35 @@ def _echo_resolved(cfg: dict) -> str:
     return path
 
 
-def _dataset_output_mode(cfg: dict) -> str:
-    """The output mode `dataset` and `net` imply: softmax for MNIST and
-    blobs, sigmoid for blobs on a one-unit net, regression for the rest."""
-    if cfg["dataset"] == "mnist":
-        return "softmax-ce"
-    if cfg["dataset"] == "blobs":
-        return "softmax-ce" if cfg["net"][-1] > 1 else "sigmoid-binary-ce"
-    return "identity-squared"
-
-
 def _load_datasets(cfg: dict):
-    """(train, val, test) SampleBatches plus the inferred output mode.
-    Blobs get net[0] input features and net[-1] classes, or two classes
-    for a one-unit net."""
+    """(train, val, test) SampleBatches.  Blobs get net[0] input features
+    and net[-1] classes, or two classes for a one-unit net.  Labels that
+    net[-1] output units cannot take are refused here, before the echo."""
     name = cfg["dataset"]
     seed = cfg["seed"]
     for key in ("train_count", "val_count", "test_count"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     n_train, n_val, n_test = cfg["train_count"], cfg["val_count"], cfg["test_count"]
-    mode = _dataset_output_mode(cfg)
     if name == "mnist":
         source_train, source_test = load_mnist(default_data_dir(cfg["data_dir"] or None))
-        spec = SplitSpec(n_train, n_val, n_test, shuffle_seed=seed)
-        tr, va, te = split(source_train, source_test, spec)
-        return tr, va, te, mode
-    total = n_train + n_val + n_test
-    if name == "blobs":
-        dims = cfg["net"]
-        full = synthetic_blobs(total, max(dims[-1], 2), dims[0], seed)
+        parts = split(source_train, source_test, SplitSpec(n_train, n_val, n_test, shuffle_seed=seed))
     else:
-        full = synthetic_regression(name, total, cfg["noise_sd"], seed)
-    parts = np.split(np.arange(total), [n_train, n_train + n_val])
-    return full.take(parts[0]), full.take(parts[1]), full.take(parts[2]), mode
+        total = n_train + n_val + n_test
+        if name == "blobs":
+            full = synthetic_blobs(total, max(cfg["net"][-1], 2), cfg["net"][0], seed)
+        else:
+            full = synthetic_regression(name, total, cfg["noise_sd"], seed)
+        parts = tuple(full.take(idx) for idx in np.split(np.arange(total), [n_train, n_train + n_val]))
+    for part in parts:
+        output_mode_for(part, cfg["net"][-1])
+    return parts
 
 
 def _train_config(cfg: dict, strategy=None) -> TrainConfig:
     """The run's TrainConfig, which validates itself: built before any data
     loads, so a bad value is named first."""
     strategy = strategy or cfg["strategy"]
-    mode = cfg["output_mode"]
-    if mode == "auto":
-        mode = _dataset_output_mode(cfg)
     lambda_lr = cfg["lambda_lr"]
     return TrainConfig(
         strategy=strategy,
@@ -264,7 +251,6 @@ def _train_config(cfg: dict, strategy=None) -> TrainConfig:
         batch_size=cfg["batch_size"],
         layer_dims=cfg["net"],
         activation=cfg["activation"],
-        output_mode=mode,
         lambda_lr=lambda_lr if strategy == "anrat" and lambda_lr != "auto" else None,
         lambda0=cfg["lambda0"],
         p=cfg["p"],
@@ -289,7 +275,7 @@ def cmd_fetch(cfg: dict) -> int:
 
 def cmd_train(cfg: dict) -> int:
     tc = _train_config(cfg)
-    train_set, val_set, test_set, _ = _load_datasets(cfg)
+    train_set, val_set, test_set = _load_datasets(cfg)
     _echo_resolved(cfg)
     report = train(tc, train_set, val_set)
     metrics_path = _out_path(cfg, ".metrics.csv")
@@ -309,7 +295,7 @@ def cmd_train(cfg: dict) -> int:
 def cmd_gridsearch(cfg: dict) -> int:
     base = _train_config(cfg, strategy="anrat")
     grid_configs(base, cfg["lr_grid"], cfg["a_grid"])  # refuses a bad grid point
-    train_set, val_set, test_set, _ = _load_datasets(cfg)
+    train_set, val_set, test_set = _load_datasets(cfg)
     _echo_resolved(cfg)
     result = grid_search(base, train_set, val_set, cfg["lr_grid"], cfg["a_grid"])
     path = _out_path(cfg, ".grid.csv")
@@ -348,29 +334,21 @@ def cmd_gradcheck(cfg: dict) -> int:
 def _scan_problem(cfg: dict):
     seed = cfg["seed"]
     if cfg["preset"] == "logistic":
-        rng = rng_for(seed, "scan-data")
-        x = rng.uniform(-2.0, 2.0, size=cfg["scan_samples"])
+        x = rng_for(seed, "scan-data").uniform(-2.0, 2.0, size=cfg["scan_samples"])
         dataset = SampleBatch(x[:, None], (x > 0).astype(np.int64))
-        template = init_model([1, 1], "tanh", "sigmoid-binary-ce", seed)
-        return template, dataset
-    base = synthetic_regression("sine", cfg["scan_samples"], cfg["noise_sd"], seed)
-    dataset = SampleBatch(base.inputs, cfg["target_scale"] * base.targets)
-    template = init_model(cfg["net"], cfg["activation"], "identity-squared", seed)
-    return template, dataset
+        dims, activation = (1, 1), "tanh"
+    else:
+        base = synthetic_regression("sine", cfg["scan_samples"], cfg["noise_sd"], seed)
+        dataset = SampleBatch(base.inputs, cfg["target_scale"] * base.targets)
+        dims, activation = cfg["net"], cfg["activation"]
+    return init_model(dims, activation, output_mode_for(dataset, dims[-1]), seed), dataset
 
 
 def cmd_scan(cfg: dict) -> int:
     template, dataset = _scan_problem(cfg)
-    _echo_resolved(cfg)
-    scan = scan_convexity(
-        template,
-        dataset,
-        cfg["lambdas"],
-        num_points=cfg["points"],
-        box_radius=cfg["box_radius"],
-        seed=cfg["seed"],
-        p=cfg["p"],
-    )
+    scan = scan_convexity(template, dataset, cfg["lambdas"], num_points=cfg["points"],
+                          box_radius=cfg["box_radius"], seed=cfg["seed"], p=cfg["p"])
+    _echo_resolved(cfg)  # after scan_convexity has checked its arguments
     detail = _out_path(cfg, ".scan.csv")
     summary = _out_path(cfg, ".scan_summary.csv")
     write_scan_csvs(scan, detail, summary)
@@ -389,7 +367,7 @@ def cmd_eval(cfg: dict) -> int:
         raise ConfigError("missing required key 'model' (or --model PATH)")
     with open(model_path) as fh:
         model = deserialize_model(fh.read())
-    _, _, test_set, _ = _load_datasets(cfg)
+    _, _, test_set = _load_datasets(cfg)
     ce, err = evaluate(model, test_set)
     print(f"test: ce={ce:.6f} error={err:.4f} ({test_set.size} samples)")
     return EXIT_OK

@@ -122,12 +122,6 @@ def fd_hessian(objective, point, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
-def _losses_at(template: MlpModel, dataset, vec) -> np.ndarray:
-    model = unflatten(template, vec)
-    cache = forward(model, dataset.inputs)
-    return batch_losses(cache.outputs, dataset.targets, template.output_mode)
-
-
 def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
                    box_radius: float, seed: int, p: int = 1,
                    h: float = DEFAULT_FD_STEP) -> RegionScan:
@@ -166,7 +160,8 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
     used_nrae = np.empty((len(lam_list), num_points), dtype=bool)
 
     def losses(vec):
-        return _losses_at(model_template, dataset, vec)
+        cache = forward(unflatten(model_template, vec), dataset.inputs)
+        return batch_losses(cache.outputs, dataset.targets, model_template.output_mode)
 
     for j, x in enumerate(points):
         c0 = losses(x)

@@ -33,12 +33,6 @@ EXP_CAP = 500.0
 # weighted backward pass slows several-fold on subnormal products.
 TINY_WEIGHT = float(np.finfo(float).tiny)
 
-# Network output probabilities are clamped to [PROB_EPS, 1 - PROB_EPS]
-# before any log, so per-sample losses are always finite; for classification
-# losses -log(PROB_EPS) is a hard ceiling on any c_i.
-PROB_EPS = 1e-12
-MAX_CLAMPED_LOSS = -float(np.log(PROB_EPS))
-
 
 class OverflowRiskError(ArithmeticError):
     """Raw RAE would overflow; the caller must stay on the NRAE path."""

@@ -175,10 +175,8 @@ def _random_case(rng, lam, p, output_mode, seed) -> GradCheckCase:
 def _case_batch(case: GradCheckCase, rng) -> SampleBatch:
     x = rng.normal(size=(case.batch_size, case.layer_dims[0]))
     out_dim = case.layer_dims[-1]
-    if case.output_mode == "softmax-ce":
-        y = rng.integers(0, out_dim, size=case.batch_size)
-    elif case.output_mode == "sigmoid-binary-ce":
-        y = rng.integers(0, 2, size=case.batch_size)
+    if case.output_mode != "identity-squared":
+        y = rng.integers(0, max(out_dim, 2), size=case.batch_size)
     else:
         y = rng.normal(size=(case.batch_size, out_dim)) if out_dim > 1 else rng.normal(size=case.batch_size)
     return SampleBatch(x, y)

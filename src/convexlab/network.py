@@ -20,6 +20,10 @@ cached by `forward`.  Zero-weight rows still go through every product:
 dropping them changes the last bit of some OpenBLAS sums (one kept row
 turns gemm into gemv; width-1 layers sum in a row-count-dependent order).
 
+The output mode follows from the targets (`output_mode_for`): class labels
+give `softmax-ce`, or `sigmoid-binary-ce` on one output unit, and real
+targets give `identity-squared`.
+
 Models are never mutated by forward/backward, so a model can be shared
 across concurrent evaluations; per-batch reductions run left-to-right by
 sample index, keeping results bit-deterministic.
@@ -31,11 +35,29 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import PROB_EPS
 from .seeds import rng_for
 
 ACTIVATIONS = ("sigmoid", "tanh", "relu")
 OUTPUT_MODES = ("softmax-ce", "sigmoid-binary-ce", "identity-squared")
+
+# Output probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any
+# log, so per-sample losses are always finite; for the two cross-entropy
+# modes -log(PROB_EPS) is a hard ceiling on any c_i.
+PROB_EPS = 1e-12
+MAX_CLAMPED_LOSS = -float(np.log(PROB_EPS))
+
+
+def output_mode_for(batch, out_dim: int) -> str:
+    """The output mode a SampleBatch's targets imply for `out_dim` output
+    units: integer labels give softmax-ce, or sigmoid-binary-ce when
+    out_dim = 1, and any other targets identity-squared.  Labels outside
+    [0, out_dim), or outside {0, 1} on one unit, raise ValueError."""
+    if not batch.is_classification:
+        return "identity-squared"
+    lo, hi, top = int(batch.targets.min()), int(batch.targets.max()), max(out_dim, 2)
+    if lo < 0 or hi >= top:
+        raise ValueError(f"{out_dim} output unit(s) need labels in [0, {top}), got labels in [{lo}, {hi}]")
+    return "softmax-ce" if out_dim > 1 else "sigmoid-binary-ce"
 
 
 class ModelFormatError(ValueError):
@@ -135,14 +157,20 @@ def _param_count(dims) -> int:
     return sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
 
 
-def _validate_spec(layer_dims, activation, output_mode):
+def validate_net(layer_dims, activation) -> tuple:
+    """The layer sizes as ints, checked with the activation by every model's rules."""
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2:
         raise ValueError(f"layer_dims needs at least input and output sizes, got {list(layer_dims)}")
     if any(d < 1 for d in dims):
         raise ValueError(f"layer sizes must be >= 1, got {list(dims)}")
     if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r} (expected one of {ACTIVATIONS})")
+        raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+    return dims
+
+
+def _validate_spec(layer_dims, activation, output_mode):
+    dims = validate_net(layer_dims, activation)
     if output_mode not in OUTPUT_MODES:
         raise ValueError(f"unknown output mode {output_mode!r} (expected one of {OUTPUT_MODES})")
     if output_mode == "sigmoid-binary-ce" and dims[-1] != 1:
@@ -196,47 +224,45 @@ def forward(model: MlpModel, inputs) -> ForwardCache:
     return ForwardCache(acts)
 
 
+def _targets(targets, output_mode) -> np.ndarray:
+    """The targets in the dtype and shape the loss of `output_mode` reads."""
+    if output_mode == "softmax-ce":
+        return np.asarray(targets).astype(int)
+    if output_mode not in OUTPUT_MODES:
+        raise ValueError(f"unknown output mode {output_mode!r}")
+    y = np.asarray(targets, dtype=float)
+    return y.reshape(-1) if output_mode == "sigmoid-binary-ce" else y.reshape(len(y), -1)
+
+
 def batch_losses(outputs, targets, output_mode) -> np.ndarray:
     """Vector of nonnegative per-sample losses c_i for a batch of network
     outputs, or a C-contiguous (K, m) array for a stacked model's (K, m, d_L)
     outputs.  Probabilities are clamped before logs."""
     f = np.asarray(outputs, dtype=float)
+    y = _targets(targets, output_mode)
     if output_mode == "softmax-ce":
-        y = np.asarray(targets)
         # the fancy index leaves a stack non-contiguous, and reductions over
         # its rows would then round differently from those over one vector
-        picked = np.ascontiguousarray(f[..., np.arange(f.shape[-2]), y.astype(int)])
+        picked = np.ascontiguousarray(f[..., np.arange(f.shape[-2]), y])
         p = np.clip(picked, PROB_EPS, 1.0 - PROB_EPS)
         return -np.log(p)
     if output_mode == "sigmoid-binary-ce":
-        y = np.asarray(targets, dtype=float).reshape(-1)
         p = np.clip(f[..., 0], PROB_EPS, 1.0 - PROB_EPS)
         return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    if output_mode == "identity-squared":
-        y = np.asarray(targets, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        return np.sum((f - y) ** 2, axis=-1)
-    raise ValueError(f"unknown output mode {output_mode!r}")
+    return np.sum((f - y) ** 2, axis=-1)
 
 
 def _output_delta(cache: ForwardCache, targets, output_mode) -> np.ndarray:
     """d c_i / d z_L for each sample, rows of the output-layer delta."""
     f = cache.outputs
+    y = _targets(targets, output_mode)
     if output_mode == "softmax-ce":
-        y = np.asarray(targets).astype(int)
         delta = f.copy()
         delta[np.arange(f.shape[0]), y] -= 1.0
         return delta
     if output_mode == "sigmoid-binary-ce":
-        y = np.asarray(targets, dtype=float).reshape(-1, 1)
-        return f - y
-    if output_mode == "identity-squared":
-        y = np.asarray(targets, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        return 2.0 * (f - y)
-    raise ValueError(f"unknown output mode {output_mode!r}")
+        return f - y[:, None]
+    return 2.0 * (f - y)
 
 
 def weighted_backward(model: MlpModel, batch, weights, cache: ForwardCache | None = None) -> np.ndarray:

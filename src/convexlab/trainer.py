@@ -20,6 +20,9 @@ the scheduled switch.  anrat then moves lam by `anrat_lambda_step`.
 The scheduled switch changes only the logged criterion, not the update:
 every step, before and after it, applies the nrae weights with the
 unscaled learning rate (see `sgd_step`).
+
+`train` takes the output mode from the training targets (`output_mode_for`
+in `network`); `evaluate` refuses data that implies another mode.
 """
 
 from __future__ import annotations
@@ -32,17 +35,19 @@ import numpy as np
 from .criteria import (
     EXP_CAP,
     LAMBDA_MIN,
-    MAX_CLAMPED_LOSS,
     CriterionParams,
     NumericDomainError,
     evaluate_criterion,
 )
 from .data import SampleBatch, batches
 from .network import (
+    MAX_CLAMPED_LOSS,
     MlpModel,
     batch_losses,
     forward,
     init_model,
+    output_mode_for,
+    validate_net,
     weighted_backward,
 )
 from .seeds import epoch_seed
@@ -85,7 +90,6 @@ class TrainConfig:
     batch_size: int
     layer_dims: tuple
     activation: str = "tanh"
-    output_mode: str = "softmax-ce"
     lambda_lr: float | None = None  # anrat only; defaults to learning_rate
     lambda0: float = 10.0
     p: int = 1
@@ -104,6 +108,7 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        validate_net(self.layer_dims, self.activation)
         if not (np.isfinite(self.lambda0) and self.lambda0 > 0):
             raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
         # p, and a and q where the strategy reads them, by the criterion's
@@ -225,30 +230,35 @@ def detect_stagnancy(vals, window: int = STAGNANCY_WINDOW,
     return (first - last) / max(abs(first), 1e-300) < min_rel_improvement
 
 
+def _check_fits(model: MlpModel, dataset: SampleBatch) -> None:
+    """Refuse data whose targets imply another output mode than the model's."""
+    if dataset is None:
+        raise ValueError("dataset must not be empty")
+    mode = output_mode_for(dataset, model.layer_dims[-1])
+    if mode != model.output_mode:
+        raise ValueError(f"the targets imply output mode {mode}, but the model's is {model.output_mode}")
+
+
 def evaluate(model: MlpModel, dataset: SampleBatch) -> tuple:
     """(mean per-sample loss, error rate).  Error is the argmax
     misclassification fraction for classifiers and the mean squared error
-    for regression."""
-    if dataset is None:
-        raise ValueError("dataset must not be empty")
-    cache = forward(model, dataset.inputs)
-    losses = batch_losses(cache.outputs, dataset.targets, model.output_mode)
-    mean_ce = float(losses.mean())
-    if model.output_mode == "softmax-ce":
-        pred = np.argmax(cache.outputs, axis=1)
-        err = float(np.mean(pred != np.asarray(dataset.targets).astype(int)))
-    elif model.output_mode == "sigmoid-binary-ce":
-        pred = (cache.outputs[:, 0] > 0.5).astype(int)
-        err = float(np.mean(pred != np.asarray(dataset.targets).astype(int)))
-    else:
-        err = mean_ce
-    return mean_ce, err
+    for regression.  Refuses data of another kind than the model's."""
+    _check_fits(model, dataset)
+    f = forward(model, dataset.inputs).outputs
+    mean_ce = float(batch_losses(f, dataset.targets, model.output_mode).mean())
+    if model.output_mode == "identity-squared":
+        return mean_ce, mean_ce
+    pred = np.argmax(f, axis=1) if f.shape[1] > 1 else f[:, 0] > 0.5
+    return mean_ce, float(np.mean(pred != dataset.targets))
 
 
 def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> TrainReport:
-    """Run one strategy end to end.  Raises DivergedError on any non-finite
-    loss, gradient, or parameter."""
-    model = init_model(config.layer_dims, config.activation, config.output_mode, config.seed)
+    """Run one strategy end to end in the output mode its training targets
+    imply.  Labels the net cannot take, or validation data of another kind,
+    are refused before the first step; anything non-finite is DivergedError."""
+    mode = output_mode_for(train_set, config.layer_dims[-1])
+    model = init_model(config.layer_dims, config.activation, mode, config.seed)
+    _check_fits(model, val_set)
     lam = max(config.lambda0, LAMBDA_MIN)
     lam_lr = config.effective_lambda_lr
     a, q = config.penalty
@@ -257,11 +267,6 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
     best_epoch = -1
     best_val = np.inf
     best_model = model.copy()
-
-    # the scheduled switch must stay feasible for every FUTURE batch, not
-    # just past ones: classification losses have the clamp ceiling, so the
-    # switch keys on it; regression (unbounded c) uses the running max
-    loss_bounded = config.output_mode in ("softmax-ce", "sigmoid-binary-ce")
     max_loss_seen = 0.0
     for ep in range(config.epochs):
         t0 = time.perf_counter()
@@ -292,7 +297,10 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
         if not (np.isfinite(val_ce) and np.isfinite(val_err)):
             raise DivergedError(ep, -1, "non-finite validation loss")
         if config.strategy == "scheduled":
-            switch_signal = MAX_CLAMPED_LOSS if loss_bounded else max_loss_seen
+            # the switch must stay feasible for every FUTURE batch, not just
+            # past ones: cross-entropy losses have the clamp ceiling, so the
+            # switch keys on it; squared error (unbounded c) on the running max
+            switch_signal = max_loss_seen if mode == "identity-squared" else MAX_CLAMPED_LOSS
             lam, switched = scheduled_update(lam, switched, switch_signal, config.rho, config.p)
         records.append(EpochRecord(
             epoch=ep,

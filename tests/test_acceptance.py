@@ -62,8 +62,7 @@ def desk_splits(mnist_dir):
 
 def desk_config(strategy, seed, **kw):
     base = dict(learning_rate=0.5, epochs=DESK_EPOCHS, batch_size=DESK_BATCH,
-                layer_dims=DESK_NET, activation="tanh", output_mode="softmax-ce",
-                seed=seed)
+                layer_dims=DESK_NET, activation="tanh", seed=seed)
     base.update(kw)
     return TrainConfig(strategy=strategy, **base).validate()
 
@@ -224,7 +223,7 @@ def test_criterion_7_grid_search_protocol():
     full = synthetic_regression("sine", 200, 0.0, seed=7)
     tr, va = full.take(range(140)), full.take(range(140, 200))
     base = TrainConfig(strategy="anrat", learning_rate=0.05, epochs=2, batch_size=20,
-                       layer_dims=(1, 6, 1), output_mode="identity-squared", seed=7)
+                       layer_dims=(1, 6, 1), seed=7)
     r1 = grid_search(base, tr, va)
     r2 = grid_search(base, tr, va)
     nine = len(r1.rows) == 9

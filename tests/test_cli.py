@@ -22,6 +22,7 @@ from convexlab.cli import (
     resolved_text,
 )
 from convexlab.data import MNIST_FILES, synthetic_blobs, write_idx_images, write_idx_labels
+from convexlab.network import output_mode_for
 
 SINE_TRAIN = [
     "--set", "dataset=sine", "--set", "net=1,8,1", "--set", "train_count=120",
@@ -77,6 +78,20 @@ class TestConfigParsing:
             cfg_file.write_text(f"strategy = scheduled\n{key} = 200\n")
             assert run(["train", "--config", cfg_file, "--out", tmp_path / "out"] + SINE_TRAIN) == EXIT_CONFIG
             assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_output_mode_key_exit_1_before_data(self, tmp_path, capsys, monkeypatch, source):
+        # the output mode follows from the data; an old config or echo that
+        # still sets it is refused like any other unknown key
+        loads = []
+        monkeypatch.setattr(cli, "_load_datasets", lambda cfg: loads.append(cfg))
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text("output_mode = auto\n")
+        given = ["--set", "output_mode=identity-squared"] if source == "set" else ["--config", cfg_file]
+        out = tmp_path / "out"
+        assert run(["train", "--strategy", "ce", "--out", out] + given + SINE_TRAIN) == EXIT_CONFIG
+        assert "unknown key 'output_mode'" in capsys.readouterr().err
+        assert loads == [] and not out.exists()
 
     @pytest.mark.parametrize("argv, named", [
         (["eval", "--set", "model=a#b"], "'model'"),
@@ -205,16 +220,16 @@ class TestDatasets:
     def test_blobs_one_unit_net_is_binary(self, tmp_path):
         args = ["train", "--strategy", "ce", "--out", tmp_path, "--set", "net=4,3,1"] + self.BLOBS
         assert run(args) == EXIT_OK
-        tr, _, _, mode = _load_datasets(resolve(args))
-        assert mode == "sigmoid-binary-ce"
+        tr, _, _ = _load_datasets(resolve(args))
+        assert output_mode_for(tr, 1) == "sigmoid-binary-ce"
         assert tr.inputs.shape == (60, 4) and set(tr.targets.tolist()) == {0, 1}
 
     def test_blobs_draw_from_net_shape(self):
         # the same draw as the net's input width and class count always gave
         cfg = resolve(["train", "--strategy", "ce", "--seed", "5", "--set", "net=16,8,10"] + self.BLOBS)
-        tr, va, te, mode = _load_datasets(cfg)
+        tr, va, te = _load_datasets(cfg)
         full = synthetic_blobs(100, 10, 16, 5)
-        assert mode == "softmax-ce"
+        assert output_mode_for(tr, 10) == "softmax-ce"
         for part, lo, hi in ((tr, 0, 60), (va, 60, 80), (te, 80, 100)):
             assert np.array_equal(part.inputs, full.inputs[lo:hi])
             assert np.array_equal(part.targets, full.targets[lo:hi])
@@ -226,8 +241,12 @@ class TestDatasets:
         assert f"{key} must be >= 1" in capsys.readouterr().err
         assert not (out / "run.metrics.csv").exists()
 
-    def test_empty_mnist_split_exit_1(self, tmp_path, capsys):
-        # refused before the (valid) files are read or anything is trained
+    MNIST_SPLIT = ["--set", "train_count=20", "--set", "val_count=5", "--set", "epochs=1",
+                   "--set", "batch_size=10"]
+
+    @staticmethod
+    def _write_mnist(tmp_path):
+        """30 random IDX images and labels 0..9 in each of the four files."""
         data_dir = tmp_path / "data"
         data_dir.mkdir()
         rng = np.random.default_rng(0)
@@ -236,15 +255,31 @@ class TestDatasets:
                 write_idx_images(data_dir / name, rng.integers(0, 256, size=(30, 28, 28), dtype=np.uint8))
             else:
                 write_idx_labels(data_dir / name, rng.integers(0, 10, size=30, dtype=np.uint8))
+        return data_dir
+
+    def test_empty_mnist_split_exit_1(self, tmp_path, capsys):
+        # refused before the (valid) files are read or anything is trained
+        data_dir = self._write_mnist(tmp_path)
         out = tmp_path / "out"
-        split = ["--set", "train_count=20", "--set", "val_count=5", "--set", "epochs=1",
-                 "--set", "batch_size=10"]
         assert run(["train", "--strategy", "ce", "--data-dir", data_dir, "--out", out]
-                   + split + ["--set", "test_count=0"]) == EXIT_CONFIG
+                   + self.MNIST_SPLIT + ["--set", "test_count=0"]) == EXIT_CONFIG
         assert "test_count must be >= 1" in capsys.readouterr().err
         assert not (out / "run.metrics.csv").exists()
         assert run(["train", "--strategy", "ce", "--data-dir", data_dir, "--out", out]
-                   + split + ["--set", "test_count=5"]) == EXIT_OK
+                   + self.MNIST_SPLIT + ["--set", "test_count=5"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    def test_labels_past_the_output_layer_exit_1(self, tmp_path, capsys, command):
+        # digit labels up to 9 on a 5-unit output: refused as the data
+        # loads, before the echo, not an IndexError at the first batch
+        data_dir = self._write_mnist(tmp_path)
+        out = tmp_path / "out"
+        argv = [command, "--data-dir", data_dir, "--out", out, "--set", "net=784,16,5",
+                "--set", "strategy=ce", "--set", "test_count=5"]
+        assert run(argv + self.MNIST_SPLIT) == EXIT_CONFIG
+        assert re.search(r"5 output unit\(s\) need labels in \[0, 5\), got labels in \[0, [5-9]\]",
+                         capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestCriterionValues:
@@ -260,12 +295,18 @@ class TestCriterionValues:
         (["gridsearch", "--set", "q=0"], "q"),
         (["gridsearch", "--set", "a_grid=0.1,-1"], "a"),
         (["gridsearch", "--set", "p=0"], "p"),
-    ], ids=["ce-p", "anrat-a", "anrat-q", "grid-q", "grid-a-point", "grid-p"])
+        (["train", "--strategy", "ce", "--set", "net=1,0,1"], "layer sizes"),
+        (["train", "--strategy", "ce", "--set", "activation=foo"], "activation"),
+        (["gridsearch", "--set", "net=1,0,1"], "layer sizes"),
+        (["gridsearch", "--set", "activation=foo"], "activation"),
+    ], ids=["ce-p", "anrat-a", "anrat-q", "grid-q", "grid-a-point", "grid-p",
+            "ce-net", "ce-activation", "grid-net", "grid-activation"])
     def test_bad_value_exit_1_before_data(self, tmp_path, capsys, monkeypatch, argv, key):
         loads = []
         monkeypatch.setattr(cli, "_load_datasets", lambda cfg: loads.append(cfg))
         out = tmp_path / "out"
-        assert run(argv + ["--out", out] + self.SINE) == EXIT_CONFIG
+        # the bad value comes after SINE's, so it is the one that holds
+        assert run(argv[:1] + self.SINE + argv[1:] + ["--out", out]) == EXIT_CONFIG
         assert re.search(rf"\b{key} must be", capsys.readouterr().err)
         assert loads == []
         assert not (out / "run.resolved.cfg").exists()
@@ -286,6 +327,18 @@ class TestEvalCommand:
         rc = run(["eval", "--model", out / "m.model.txt", "--seed", "3",
                   "--out", out] + SINE_TRAIN[:2] + SINE_TRAIN[2:])
         assert rc == EXIT_OK
+
+    def test_eval_on_another_kind_of_data_exit_1(self, tmp_path, capsys):
+        # a sine regression model on blob class labels
+        out = tmp_path / "out"
+        assert run(["train", "--strategy", "ce", "--out", out, "--run-name", "m"] + SINE_TRAIN) == EXIT_OK
+        capsys.readouterr()
+        rc = run(["eval", "--model", out / "m.model.txt", "--out", out]
+                 + SINE_TRAIN + ["--set", "dataset=blobs"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "imply output mode sigmoid-binary-ce, but the model's is identity-squared" in captured.err
+        assert "test:" not in captured.out
 
     def test_eval_requires_model(self, tmp_path):
         rc = run(["eval", "--out", tmp_path] + SINE_TRAIN)
@@ -417,6 +470,19 @@ class TestScanCommand:
     def test_oversized_net_exit_1(self, tmp_path):
         rc = run(["scan", "--net", "784,128,10", "--out", tmp_path])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("args, named", [
+        (["--net", "1,3,1", "--set", "points=0"], "num_points must be >= 1"),
+        (["--net", "1,3,1", "--set", "lambdas=2,1"], "strictly ascending"),
+        (["--net", "1,3,1", "--set", "activation=relu"], "smooth activation"),
+        (["--set", "net=1,8,8,1"], "97 parameters exceeds the scan guard of 60"),
+        ([], "101770 parameters exceeds the scan guard of 60"),
+    ], ids=["no-points", "descending", "relu", "deep-net", "default-net"])
+    def test_refused_scan_writes_no_resolved_config(self, tmp_path, capsys, args, named):
+        out = tmp_path / "out"
+        assert run(["scan", "--out", out] + args) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (out / "run.resolved.cfg").exists()
 
 
 class TestFetchCommand:

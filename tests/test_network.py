@@ -17,6 +17,7 @@ from convexlab.network import (
     deserialize_model,
     forward,
     init_model,
+    output_mode_for,
     serialize_model,
     unflatten,
     weighted_backward,
@@ -53,6 +54,29 @@ class TestInit:
         r = np.sqrt(6.0 / 14.0)
         assert np.abs(m.weights[0]).max() <= r
         assert np.all(m.biases[0] == 0.0)
+
+
+class TestOutputModeRule:
+    X = np.zeros((4, 2))
+
+    @pytest.mark.parametrize("targets, out_dim, mode", [
+        ([0, 2, 1, 2], 3, "softmax-ce"),
+        ([0, 1, 1, 0], 2, "softmax-ce"),
+        ([0, 1, 1, 0], 1, "sigmoid-binary-ce"),
+        ([0.0, 1.0, 1.0, 0.0], 1, "identity-squared"),
+        ([0.5, -2.0, 3.0, 0.0], 3, "identity-squared"),
+    ], ids=["labels-3", "labels-2", "labels-1", "float-01", "reals"])
+    def test_mode_from_targets(self, targets, out_dim, mode):
+        assert output_mode_for(SampleBatch(self.X, np.array(targets)), out_dim) == mode
+
+    @pytest.mark.parametrize("targets, out_dim, named", [
+        ([0, 7, 1, 2], 5, r"labels in \[0, 5\), got labels in \[0, 7\]"),
+        ([-1, 0, 1, 2], 5, r"labels in \[0, 5\), got labels in \[-1, 2\]"),
+        ([0, 1, 2, 1], 1, r"1 output unit\(s\) need labels in \[0, 2\), got labels in \[0, 2\]"),
+    ], ids=["past-top", "negative", "one-unit"])
+    def test_labels_outside_the_output_layer_refused(self, targets, out_dim, named):
+        with pytest.raises(ValueError, match=named):
+            output_mode_for(SampleBatch(self.X, np.array(targets)), out_dim)
 
 
 class TestForward:

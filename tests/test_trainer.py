@@ -251,6 +251,19 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(model, None)
 
+    def test_data_of_another_kind_refused(self):
+        # a regression model on class labels, and a classifier on real
+        # targets or on labels past its output layer
+        labels = SampleBatch(np.ones((4, 1)), np.array([0, 1, 1, 0]))
+        reals = SampleBatch(np.ones((4, 1)), np.array([0.5, 1.0, 0.0, 2.0]))
+        with pytest.raises(ValueError, match="imply output mode sigmoid-binary-ce"):
+            evaluate(init_model([1, 8, 1], "tanh", "identity-squared", seed=0), labels)
+        with pytest.raises(ValueError, match="imply output mode identity-squared"):
+            evaluate(init_model([1, 3], "tanh", "softmax-ce", seed=0), reals)
+        with pytest.raises(ValueError, match=r"labels in \[0, 2\)"):
+            evaluate(init_model([1, 2], "tanh", "softmax-ce", seed=0),
+                     SampleBatch(np.ones((2, 1)), np.array([0, 2])))
+
 
 class TestTrainLoop:
     def test_reproducible_bit_identical(self):
@@ -293,7 +306,7 @@ class TestTrainLoop:
         full = synthetic_regression("sine", 300, 0.0, seed=0)
         tr, va = full.take(range(200)), full.take(range(200, 300))
         cfg = TrainConfig(strategy="ce", learning_rate=1e6, epochs=6, batch_size=10,
-                          layer_dims=(1, 8, 1), output_mode="identity-squared", seed=0)
+                          layer_dims=(1, 8, 1), seed=0)
         with np.errstate(all="ignore"), pytest.raises(DivergedError) as exc:
             train(cfg, tr, va)
         assert exc.value.epoch >= 0
@@ -305,8 +318,7 @@ class TestTrainLoop:
         # (19**2 times larger) puts the raw criterion past float range
         one = SampleBatch(np.ones((1, 1)), np.full(1, 3.0))
         cfg = TrainConfig(strategy="scheduled", learning_rate=5.0, epochs=3, batch_size=1,
-                          layer_dims=(1, 1), output_mode="identity-squared",
-                          lambda0=10.0, rho=0.5, seed=0)
+                          layer_dims=(1, 1), lambda0=10.0, rho=0.5, seed=0)
         with pytest.raises(DivergedError, match="criterion value inf") as exc:
             train(cfg, one, one)
         assert (exc.value.epoch, exc.value.batch_index) == (1, 0)
@@ -318,11 +330,35 @@ class TestTrainLoop:
         full = synthetic_regression("sine", 200, 0.0, seed=0)
         full = SampleBatch(full.inputs, 0.2 * full.targets)
         cfg = TrainConfig(strategy="scheduled", learning_rate=5.0, epochs=6, batch_size=10,
-                          layer_dims=(1, 8, 1), output_mode="identity-squared",
-                          lambda0=100.0, rho=0.5, p=2, seed=0)
+                          layer_dims=(1, 8, 1), lambda0=100.0, rho=0.5, p=2, seed=0)
         with pytest.raises(DivergedError, match="overflow") as exc:
             train(cfg, full, full)
         assert (exc.value.epoch, exc.value.batch_index) == (3, -1)
+
+    @pytest.mark.parametrize("targets, out_dim, mode", [
+        (lambda x: (x > 0).astype(int), 1, "sigmoid-binary-ce"),
+        (lambda x: (x > 0).astype(int), 2, "softmax-ce"),
+        (lambda x: np.sin(x), 1, "identity-squared"),
+    ], ids=["binary", "softmax", "regression"])
+    def test_mode_follows_training_targets(self, targets, out_dim, mode):
+        x = np.linspace(-1.0, 1.0, 20)[:, None]
+        ds = SampleBatch(x, targets(x[:, 0]))
+        cfg = TrainConfig(strategy="ce", learning_rate=0.1, epochs=1, batch_size=10,
+                          layer_dims=(1, 4, out_dim), seed=0)
+        assert train(cfg, ds, ds).best_model.output_mode == mode
+
+    def test_val_set_of_another_kind_refused_before_first_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(trainer, "sgd_step", lambda *a: steps.append(a))
+        full = synthetic_regression("sine", 40, 0.0, seed=0)
+        labels = SampleBatch(full.inputs, (full.targets > 0).astype(int))
+        cfg = TrainConfig(strategy="ce", learning_rate=0.1, epochs=1, batch_size=10,
+                          layer_dims=(1, 4, 1), seed=0)
+        with pytest.raises(ValueError, match="imply output mode sigmoid-binary-ce"):
+            train(cfg, full, labels)
+        with pytest.raises(ValueError, match=r"need labels in \[0, 2\), got labels in \[0, 3\]"):
+            train(cfg, SampleBatch(full.inputs, np.arange(40) % 4), labels)
+        assert steps == []
 
     def test_config_validation(self):
         good = dict(learning_rate=0.1, epochs=1, batch_size=10, layer_dims=(4, 2))
@@ -348,6 +384,16 @@ class TestTrainLoop:
         good = dict(learning_rate=0.1, epochs=1, batch_size=10, layer_dims=(4, 2))
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             TrainConfig(strategy=strategy, **good, **{field: value})
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("layer_dims", (1, 0, 1), "layer sizes must be >= 1"),
+        ("layer_dims", (4,), "needs at least input and output sizes"),
+        ("activation", "swish", "activation must be one of"),
+    ], ids=["zero-width", "one-layer", "activation"])
+    def test_net_refused_by_the_model_rules(self, field, value, named):
+        good = dict(learning_rate=0.1, epochs=1, batch_size=10, layer_dims=(4, 2))
+        with pytest.raises(ValueError, match=named):
+            TrainConfig(strategy="ce", **{**good, field: value})
 
     def test_penalty_checked_for_anrat_only(self):
         good = dict(learning_rate=0.1, epochs=1, batch_size=10, layer_dims=(4, 2))
@@ -376,7 +422,7 @@ class TestIntegrationSurrogate:
         full = synthetic_regression("sine", 500, 0.0, seed=2)
         tr, va = full.take(range(350)), full.take(range(350, 500))
         base = dict(learning_rate=0.05, epochs=10, batch_size=25,
-                    layer_dims=(1, 16, 1), output_mode="identity-squared", seed=1)
+                    layer_dims=(1, 16, 1), seed=1)
         ce_rep = train(TrainConfig(strategy="ce", **base), tr, va)
         nrae_rep = train(TrainConfig(strategy="nrae-fixed", lambda0=1000.0, **base), tr, va)
         assert nrae_rep.stagnant
@@ -460,7 +506,7 @@ class TestGridSearch:
         full = synthetic_regression("sine", 200, 0.0, seed=0)
         tr, va = full.take(range(150)), full.take(range(150, 200))
         base = TrainConfig(strategy="anrat", learning_rate=1.0, epochs=6, batch_size=10,
-                           layer_dims=(1, 8, 1), output_mode="identity-squared", seed=0)
+                           layer_dims=(1, 8, 1), seed=0)
         with np.errstate(all="ignore"), pytest.raises(NoViableModelError):
             grid_search(base, tr, va, lr_grid=(1e6, 1e7), a_grid=(0.1,))
 
@@ -468,7 +514,7 @@ class TestGridSearch:
         full = synthetic_regression("sine", 200, 0.0, seed=0)
         tr, va = full.take(range(150)), full.take(range(150, 200))
         base = TrainConfig(strategy="anrat", learning_rate=1.0, epochs=6, batch_size=10,
-                           layer_dims=(1, 8, 1), output_mode="identity-squared", seed=0)
+                           layer_dims=(1, 8, 1), seed=0)
         with np.errstate(all="ignore"):
             result = grid_search(base, tr, va, lr_grid=(0.01, 1e7), a_grid=(0.1,))
         statuses = [r.status for r in result.rows]
