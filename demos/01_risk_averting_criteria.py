@@ -15,10 +15,8 @@ import numpy as np
 
 from convexlab import (
     CriterionParams,
-    anrat_grad_lambda,
-    anrat_loss,
+    evaluate_criterion,
     nrae,
-    rae,
     sample_weights,
 )
 
@@ -36,23 +34,22 @@ print("-> lam -> 0 gives the plain mean; lam -> inf singles out the worst sample
 
 # 2. the raw criterion and why the log form exists
 params = CriterionParams(lam=1.0)
-print(f"rae  at lam=1: {rae(c, params):.5f}")
+print(f"rae  at lam=1: {evaluate_criterion(c, 'rae', params).criterion_value:.5f}")
 print(f"nrae at lam=1: {nrae(c, params):.5f} (= log of the former)")
-try:
-    rae(c, CriterionParams(lam=500.0))
-except ArithmeticError as exc:
-    print(f"rae  at lam=500 refuses: {exc}")
+print(f"rae  at lam=500: {evaluate_criterion(c, 'rae', CriterionParams(lam=500.0)).criterion_value} "
+      "(exp(1250) is past float range)")
 print(f"nrae at lam=500: {nrae(c, CriterionParams(lam=500.0)):.5f} (log-sum-exp, no overflow)")
 print(f"nrae at lam=4e8: {nrae(c, CriterionParams(lam=4e8)):.5f} (still finite)\n")
 
 # 3. the adaptive criterion: nrae plus a penalty that resists lam -> 0,
 #    and the exact derivative used to learn lam by gradient descent
-params = CriterionParams(lam=5.0, a=0.1, q=1)
-print(f"adaptive loss at lam=5, a=0.1: {anrat_loss(c, params):.5f}")
-print(f"its exact lam-derivative:      {anrat_grad_lambda(c, params):+.5f}")
+#    -- both read off the one report training steps with
+report = evaluate_criterion(c, "anrat", CriterionParams(lam=5.0, a=0.1, q=1))
+print(f"adaptive loss at lam=5, a=0.1: {report.criterion_value:.5f}")
+print(f"its exact lam-derivative:      {report.lambda_grad:+.5f}")
 h = 1e-6
-fd = (anrat_loss(c, CriterionParams(lam=5.0 + h, a=0.1)) -
-      anrat_loss(c, CriterionParams(lam=5.0 - h, a=0.1))) / (2 * h)
+fd = (evaluate_criterion(c, "anrat", CriterionParams(lam=5.0 + h, a=0.1)).criterion_value -
+      evaluate_criterion(c, "anrat", CriterionParams(lam=5.0 - h, a=0.1)).criterion_value) / (2 * h)
 print(f"finite-difference check:       {fd:+.5f}\n")
 
 # 4. the coarse diagnostic gradient can disagree in sign with the exact one
@@ -60,6 +57,6 @@ print(f"finite-difference check:       {fd:+.5f}\n")
 outlier = np.array([0.01] * 9 + [5.0])
 pr = CriterionParams(lam=50.0)
 print(f"one dominant outlier, lam=50:")
-print(f"  exact lam-gradient (loss term): {anrat_grad_lambda(outlier, pr):+.6f}")
+print(f"  exact lam-gradient (loss term): {evaluate_criterion(outlier, 'anrat', pr).lambda_grad:+.6f}")
 coarse = (pr.p / pr.lam) * (outlier.mean() - nrae(outlier, pr))  # (p/lam) * (mean(c) - nrae)
 print(f"  coarse diagnostic:              {coarse:+.6f}")

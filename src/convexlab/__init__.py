@@ -12,12 +12,8 @@ from .criteria import (
     CriterionParams,
     LossReport,
     NumericDomainError,
-    OverflowRiskError,
-    anrat_grad_lambda,
-    anrat_loss,
     evaluate_criterion,
     nrae,
-    rae,
     sample_weights,
 )
 from .convexity import (

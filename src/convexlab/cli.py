@@ -10,10 +10,11 @@ is loaded; unknown keys are rejected, and so are `train` without `strategy`
 and `eval` without `model`.  `train` and `gridsearch` build their
 `TrainConfig`s, every grid point included, before loading data too.  No key
 sets the output mode: `network.output_mode_for` derives it from the
-targets, and labels that `net` cannot fit are refused as the data loads.
-`train`, `gridsearch` and `scan` echo every key to `<run>.resolved.cfg`,
-which reproduces the run; a refused run writes none.  Stable exit codes: 0 ok,
-1 config/usage, 2 transport, 3 training failure, 4 verification failure.
+targets, and labels or real targets that `net` cannot fit are refused as
+the data loads.  `train`, `gridsearch` and `scan` echo every key to
+`<run>.resolved.cfg`, which reproduces the run; a refused run writes none.
+Stable exit codes: 0 ok, 1 config/usage, 2 transport, 3 training failure,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .convexity import scan_convexity, write_scan_csvs
+from .convexity import MAX_SCAN_PARAMS, scan_convexity, write_scan_csvs
 from .data import (
     DEFAULT_MNIST_URL,
     IdxFormatError,
@@ -39,7 +40,7 @@ from .data import (
     synthetic_regression,
 )
 from .gradcheck import run_gradcheck
-from .network import deserialize_model, init_model, output_mode_for, serialize_model
+from .network import _param_count, deserialize_model, init_model, output_mode_for, serialize_model
 from .seeds import rng_for
 from .trainer import (
     STRATEGIES,
@@ -341,6 +342,10 @@ def _scan_problem(cfg: dict):
         base = synthetic_regression("sine", cfg["scan_samples"], cfg["noise_sd"], seed)
         dataset = SampleBatch(base.inputs, cfg["target_scale"] * base.targets)
         dims, activation = cfg["net"], cfg["activation"]
+        # an oversized net is named before the targets' width is checked
+        n = _param_count(dims)
+        if n > MAX_SCAN_PARAMS:
+            raise ValueError(f"{n} parameters exceeds the scan guard of {MAX_SCAN_PARAMS}")
     return init_model(dims, activation, output_mode_for(dataset, dims[-1]), seed), dataset
 
 

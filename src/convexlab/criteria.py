@@ -4,14 +4,21 @@ Everything here is a pure function of a vector of nonnegative per-sample
 losses ``c`` (cross-entropy or squared error, the criteria do not care)
 and a parameter bundle (lam, p, a, q).  The convexified criteria are
 
-    rae(c)   = mean_i exp(lam**p * c_i)                  (unbounded, overflows)
+    rae(c)   = mean_i exp(lam**p * c_i)                  (unbounded, inf past float range)
     nrae(c)  = (1/lam**p) * log rae(c)                   (log-sum-exp form, stable)
     anrat(c) = nrae(c) + a * lam**(-q)                   (penalty resists lam -> 0)
 
+`evaluate_criterion` is the one evaluation path of every kind: it checks
+the losses once and returns the value, the gradient weights and (anrat)
+the lam derivative together.  RAE has no cap there: past float range its
+value is inf, which the trainer reports as divergence.
+
 The gradient of nrae with respect to the weights factors through the
 per-sample losses as sum_i w_i * grad(c_i), where w_i is a softmax over
-lam**p * c_i; `sample_weights` computes exactly those factors and the
-network module consumes them in a single weighted backward pass.
+lam**p * c_i; the network module consumes those factors in a single
+weighted backward pass.  `nrae` (also on a stack of loss vectors) and
+`sample_weights` evaluate one of them alone, for the finite-difference
+oracles and the convexity scan.
 """
 
 from __future__ import annotations
@@ -26,16 +33,13 @@ import numpy as np
 LAMBDA_MIN = 1e-3
 
 # Feasibility cap for the raw exponential criterion: exp(500) ~ 7e216 leaves
-# headroom for the batch sum inside double range.
+# headroom for the batch sum inside double range.  The scheduled strategy
+# switches to rae below it, and the convexity scan reports the points past it.
 EXP_CAP = 500.0
 
 # Softmax weights below the smallest normal double are flushed to 0: the
 # weighted backward pass slows several-fold on subnormal products.
 TINY_WEIGHT = float(np.finfo(float).tiny)
-
-
-class OverflowRiskError(ArithmeticError):
-    """Raw RAE would overflow; the caller must stay on the NRAE path."""
 
 
 class NumericDomainError(ArithmeticError):
@@ -101,12 +105,6 @@ def _rows_where(bad) -> str:
     return f" (rows {np.flatnonzero(bad.any(axis=1)).tolist()})" if bad.ndim == 2 else ""
 
 
-def _rae_value(c, s: float) -> float:
-    # inf past float range, which the caller treats as divergence
-    with np.errstate(over="ignore"):
-        return float(np.mean(np.exp(s * c)))
-
-
 def _nrae_rows(rows, s: float) -> np.ndarray:
     # sum / m is how np.mean divides, so these are its bits
     m = rows.shape[1]
@@ -132,13 +130,14 @@ def _softmax_weights(c, s: float) -> np.ndarray:
     return w
 
 
-def _penalty(params: CriterionParams) -> float:
-    return params.a * float(params.lam) ** (-params.q)
+def _grad_lambda(c, params: CriterionParams, w, nrae_value: float) -> float:
+    """Exact derivative of the adaptive loss with respect to lam,
 
+        (p/lam) * (sum_i w_i c_i - nrae) - a*q*lam**(-q-1),
 
-def _grad_lambda(c, params: CriterionParams, w=None, nrae_value: float = 0.0) -> float:
-    # w and nrae_value are read on the log-sum-exp side only; without w
-    # they are computed there
+    from the softmax weights w and nrae of c, which are read on the
+    log-sum-exp side only.  The first term is the gap between the
+    exponentially weighted mean loss and the criterion, hence >= 0."""
     lam, p, a, q = float(params.lam), int(params.p), float(params.a), int(params.q)
     s = params.scale
     d = c - c.mean()
@@ -152,23 +151,8 @@ def _grad_lambda(c, params: CriterionParams, w=None, nrae_value: float = 0.0) ->
         gap = (float(np.dot(u - ubar, d)) / (c.size * (1.0 + ubar))
                + float(d.mean()) - float(np.log1p(ubar)) / s)
     else:
-        if w is None:
-            w, nrae_value = _softmax_weights(c, s), float(_nrae_rows(c[None, :], s)[0])
         gap = float(np.dot(w, c)) - nrae_value
     return (p / lam) * gap - a * q * lam ** (-q - 1)
-
-
-def rae(losses, params: CriterionParams) -> float:
-    """Mean of exp(lam**p * c_i).  Refuses to evaluate when the largest
-    exponent exceeds EXP_CAP; callers must use `nrae` in that regime."""
-    c = _check_losses(losses)
-    s = params.scale
-    zmax = s * float(c.max())
-    if zmax > EXP_CAP:
-        raise OverflowRiskError(
-            f"lam**p * max(c) = {zmax:.6g} exceeds cap {EXP_CAP:g}; use nrae"
-        )
-    return _rae_value(c, s)
 
 
 def nrae(losses, params: CriterionParams) -> float | np.ndarray:
@@ -197,22 +181,6 @@ def sample_weights(losses, params: CriterionParams) -> np.ndarray:
     return _softmax_weights(_check_losses(losses), params.scale)
 
 
-def anrat_loss(losses, params: CriterionParams) -> float:
-    """nrae plus the penalty a * lam**(-q) that resists lam collapsing."""
-    return nrae(losses, params) + _penalty(params)
-
-
-def anrat_grad_lambda(losses, params: CriterionParams) -> float:
-    """Exact derivative of `anrat_loss` with respect to lam:
-
-        (p/lam) * (sum_i w_i c_i - nrae) - a*q*lam**(-q-1)
-
-    The first term is the gap between the exponentially weighted mean loss
-    and the criterion, hence always >= 0.
-    """
-    return _grad_lambda(_check_losses(losses), params)
-
-
 def evaluate_criterion(losses, kind: str, params: CriterionParams) -> LossReport:
     """Evaluate one criterion kind ('ce' | 'rae' | 'nrae' | 'anrat') on a
     loss vector, bundling the value, the plain CE mean, the gradient
@@ -234,9 +202,11 @@ def evaluate_criterion(losses, kind: str, params: CriterionParams) -> LossReport
     s = params.scale
     w = _softmax_weights(c, s)
     if kind == "rae":
-        return LossReport(_rae_value(c, s), ce, w, max_loss=cmax)
+        with np.errstate(over="ignore"):  # inf past float range: divergence to the trainer
+            return LossReport(float(np.mean(np.exp(s * c))), ce, w, max_loss=cmax)
     value = float(_nrae_rows(c[None, :], s)[0])
     if kind == "nrae":
         return LossReport(value, ce, w, max_loss=cmax)
-    return LossReport(value + _penalty(params), ce, w,
+    penalty = params.a * float(params.lam) ** (-params.q)
+    return LossReport(value + penalty, ce, w,
                       lambda_grad=_grad_lambda(c, params, w, value), max_loss=cmax)

@@ -5,7 +5,8 @@ Two suites over randomized (model, batch, criterion) configurations:
   * weight gradient: the single weighted backward pass sum_i w_i grad(c_i)
     against central differences of the composed objective
     criterion(losses(W)) over every flat parameter;
-  * lam derivative: `anrat_grad_lambda` against central differences of the
+  * lam derivative: `evaluate_criterion(losses, "anrat", params).lambda_grad`,
+    the very call `sgd_step` makes, against central differences of the
     adaptive loss in lam.
 
 The lam objective is evaluated in extended precision with the constant
@@ -38,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .criteria import CriterionParams, anrat_grad_lambda, nrae, sample_weights
+from .criteria import CriterionParams, evaluate_criterion, nrae
 from .data import SampleBatch
 from .network import batch_losses, forward, init_model, weighted_backward
 from .seeds import rng_for
@@ -205,15 +206,16 @@ def check_case(case: GradCheckCase) -> tuple:
     losses = batch_losses(cache.outputs, batch.targets, model.output_mode)
     numeric, numeric_ce = fd_gradient(criteria_at, model.theta)
 
-    # criterion gradient through the weighted backward pass
-    w = sample_weights(losses, params)
-    weight_err = rel_error(numeric, weighted_backward(model, batch, w, cache))
+    # criterion gradient through the weighted backward pass, with the weights
+    # and lam derivative of the trainer's own criterion call
+    report = evaluate_criterion(losses, "anrat", params)
+    weight_err = rel_error(numeric, weighted_backward(model, batch, report.sample_weights, cache))
 
     # plain mean-loss gradient (uniform weights) against the same oracle
     uniform = np.full(batch.size, 1.0 / batch.size)
     weight_err = max(weight_err, rel_error(numeric_ce, weighted_backward(model, batch, uniform, cache)))
 
-    lam_err = rel_error(fd_lambda_gradient(losses, params), anrat_grad_lambda(losses, params))
+    lam_err = rel_error(fd_lambda_gradient(losses, params), report.lambda_grad)
     return weight_err, lam_err
 
 

@@ -22,7 +22,7 @@ turns gemm into gemv; width-1 layers sum in a row-count-dependent order).
 
 The output mode follows from the targets (`output_mode_for`): class labels
 give `softmax-ce`, or `sigmoid-binary-ce` on one output unit, and real
-targets give `identity-squared`.
+targets give `identity-squared`, one output unit per target column.
 
 Models are never mutated by forward/backward, so a model can be shared
 across concurrent evaluations; per-batch reductions run left-to-right by
@@ -51,8 +51,13 @@ def output_mode_for(batch, out_dim: int) -> str:
     """The output mode a SampleBatch's targets imply for `out_dim` output
     units: integer labels give softmax-ce, or sigmoid-binary-ce when
     out_dim = 1, and any other targets identity-squared.  Labels outside
-    [0, out_dim), or outside {0, 1} on one unit, raise ValueError."""
+    [0, out_dim), or outside {0, 1} on one unit, raise ValueError, and so
+    do real targets whose width (1 for a vector) is not out_dim."""
     if not batch.is_classification:
+        width = 1 if batch.targets.ndim == 1 else batch.targets.shape[1]
+        if width != out_dim:
+            raise ValueError(f"{out_dim} output unit(s) need real targets of width {out_dim}, "
+                             f"got width {width}")
         return "identity-squared"
     lo, hi, top = int(batch.targets.min()), int(batch.targets.max()), max(out_dim, 2)
     if lo < 0 or hi >= top:

@@ -268,17 +268,26 @@ class TestDatasets:
         assert run(["train", "--strategy", "ce", "--data-dir", data_dir, "--out", out]
                    + self.MNIST_SPLIT + ["--set", "test_count=5"]) == EXIT_OK
 
-    @pytest.mark.parametrize("command", ["train", "gridsearch"])
-    def test_labels_past_the_output_layer_exit_1(self, tmp_path, capsys, command):
-        # digit labels up to 9 on a 5-unit output: refused as the data
-        # loads, before the echo, not an IndexError at the first batch
-        data_dir = self._write_mnist(tmp_path)
+    SINE_ON_TWO_UNITS = ["--set", "dataset=sine", "--set", "net=1,8,2", "--set", "train_count=100",
+                         "--set", "val_count=20", "--set", "test_count=20", "--set", "epochs=2"]
+
+    @pytest.mark.parametrize("command, data, named", [
+        ("train", "mnist", r"5 output unit\(s\) need labels in \[0, 5\), got labels in \[0, [5-9]\]"),
+        ("gridsearch", "mnist", r"5 output unit\(s\) need labels in \[0, 5\), got labels in \[0, [5-9]\]"),
+        ("train", "sine", r"2 output unit\(s\) need real targets of width 2, got width 1"),
+    ], ids=["train", "gridsearch", "sine-on-2-units"])
+    def test_labels_past_the_output_layer_exit_1(self, tmp_path, capsys, command, data, named):
+        # digit labels up to 9 on a 5-unit output, or 1-D real targets on a
+        # 2-unit output: refused as the data loads, before the echo, not an
+        # IndexError at the first batch or a broadcast fit
         out = tmp_path / "out"
-        argv = [command, "--data-dir", data_dir, "--out", out, "--set", "net=784,16,5",
-                "--set", "strategy=ce", "--set", "test_count=5"]
-        assert run(argv + self.MNIST_SPLIT) == EXIT_CONFIG
-        assert re.search(r"5 output unit\(s\) need labels in \[0, 5\), got labels in \[0, [5-9]\]",
-                         capsys.readouterr().err)
+        if data == "mnist":
+            argv = ["--data-dir", self._write_mnist(tmp_path), "--set", "net=784,16,5",
+                    "--set", "test_count=5"] + self.MNIST_SPLIT
+        else:
+            argv = self.SINE_ON_TWO_UNITS
+        assert run([command, "--out", out, "--set", "strategy=ce"] + argv) == EXIT_CONFIG
+        assert re.search(named, capsys.readouterr().err)
         assert not out.exists()
 
 

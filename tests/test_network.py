@@ -64,8 +64,8 @@ class TestOutputModeRule:
         ([0, 1, 1, 0], 2, "softmax-ce"),
         ([0, 1, 1, 0], 1, "sigmoid-binary-ce"),
         ([0.0, 1.0, 1.0, 0.0], 1, "identity-squared"),
-        ([0.5, -2.0, 3.0, 0.0], 3, "identity-squared"),
-    ], ids=["labels-3", "labels-2", "labels-1", "float-01", "reals"])
+        ([[0.5, 1.0], [-2.0, 0.0], [3.0, 0.1], [0.0, 0.0]], 2, "identity-squared"),
+    ], ids=["labels-3", "labels-2", "labels-1", "float-01", "reals-2"])
     def test_mode_from_targets(self, targets, out_dim, mode):
         assert output_mode_for(SampleBatch(self.X, np.array(targets)), out_dim) == mode
 
@@ -73,7 +73,9 @@ class TestOutputModeRule:
         ([0, 7, 1, 2], 5, r"labels in \[0, 5\), got labels in \[0, 7\]"),
         ([-1, 0, 1, 2], 5, r"labels in \[0, 5\), got labels in \[-1, 2\]"),
         ([0, 1, 2, 1], 1, r"1 output unit\(s\) need labels in \[0, 2\), got labels in \[0, 2\]"),
-    ], ids=["past-top", "negative", "one-unit"])
+        # real targets are not broadcast across the output units
+        ([0.5, -2.0, 3.0, 0.0], 3, r"3 output unit\(s\) need real targets of width 3, got width 1"),
+    ], ids=["past-top", "negative", "one-unit", "reals"])
     def test_labels_outside_the_output_layer_refused(self, targets, out_dim, named):
         with pytest.raises(ValueError, match=named):
             output_mode_for(SampleBatch(self.X, np.array(targets)), out_dim)

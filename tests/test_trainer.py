@@ -259,7 +259,7 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="imply output mode sigmoid-binary-ce"):
             evaluate(init_model([1, 8, 1], "tanh", "identity-squared", seed=0), labels)
         with pytest.raises(ValueError, match="imply output mode identity-squared"):
-            evaluate(init_model([1, 3], "tanh", "softmax-ce", seed=0), reals)
+            evaluate(init_model([1, 1], "tanh", "sigmoid-binary-ce", seed=0), reals)
         with pytest.raises(ValueError, match=r"labels in \[0, 2\)"):
             evaluate(init_model([1, 2], "tanh", "softmax-ce", seed=0),
                      SampleBatch(np.ones((2, 1)), np.array([0, 2])))
