@@ -372,7 +372,8 @@ def cmd_eval(cfg: dict) -> int:
         raise ConfigError("missing required key 'model' (or --model PATH)")
     with open(model_path) as fh:
         model = deserialize_model(fh.read())
-    _, _, test_set = _load_datasets(cfg)
+    # the data take their shape from the model, as they did in its train run
+    _, _, test_set = _load_datasets({**cfg, "net": model.layer_dims})
     ce, err = evaluate(model, test_set)
     print(f"test: ce={ce:.6f} error={err:.4f} ({test_set.size} samples)")
     return EXIT_OK
@@ -395,7 +396,8 @@ COMMANDS = {
     "scan": (cmd_scan, "convexity-region scan over weight space",
              {"--net": "net", "--lambdas": "lambdas", "--points": "points",
               "--box-radius": "box_radius", "--preset": "preset"}),
-    "eval": (cmd_eval, "evaluate a serialized model on the test set", {"--model": "model"}),
+    "eval": (cmd_eval, "evaluate a serialized model on the test set (net is read from the model)",
+             {"--model": "model"}),
 }
 
 
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (fn, help_text, flags) in COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
+        sub = subs.add_parser(name, help=help_text, description=help_text)
         sub.add_argument("--config", help="flat key=value config file")
         sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override any config key (repeatable)")

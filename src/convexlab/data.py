@@ -39,6 +39,9 @@ FETCH_TIMEOUT_S = 30.0
 
 DATA_DIR_ENV = "CONVEXLAB_DATA_DIR"
 
+# rows of centres `synthetic_blobs` gathers at once: at 784 features, 1.6 MB
+BLOB_CHUNK_ROWS = 256
+
 
 class IdxFormatError(ValueError):
     """File does not follow the IDX layout (bad magic, truncation, ...)."""
@@ -77,7 +80,19 @@ class SampleBatch:
         return np.issubdtype(self.targets.dtype, np.integer)
 
     def take(self, indices) -> "SampleBatch":
+        """The rows `indices` names, in that order.  An ascending run of
+        consecutive in-range rows, such as `np.arange(a, b)` or
+        `range(a, b)`, comes back as a slice view that shares memory with
+        this batch; any other index array (permuted, strided, negative,
+        boolean, 2-D) is a copy, as numpy's fancy indexing gives.  Sharing
+        is safe because nothing writes into a batch once it is built."""
         idx = np.asarray(indices)
+        if idx.ndim == 1 and idx.size and idx.dtype.kind in "iu":
+            # scalar reads first, so a shuffled batch skips the O(m) step test
+            first, last = int(idx[0]), int(idx[-1])
+            if (first >= 0 and last < self.size and last - first == idx.size - 1
+                    and np.all(np.diff(idx) == 1)):
+                idx = slice(first, last + 1)
         return SampleBatch(self.inputs[idx], self.targets[idx])
 
 
@@ -228,7 +243,8 @@ def load_mnist(data_dir: str) -> tuple:
 def split(train_source: SampleBatch, test_source: SampleBatch, spec: SplitSpec) -> tuple:
     """Deterministic (train, val, test) split.  Train and validation are
     disjoint draws from the shuffled training source (validation from the
-    tail of the shuffle); test comes from the test source only."""
+    tail of the shuffle); test is the head of the test source.  Every part
+    is a copy, so no part keeps a whole source alive."""
     n = train_source.size
     if spec.train_count + spec.val_count > n:
         raise ValueError(
@@ -241,7 +257,9 @@ def split(train_source: SampleBatch, test_source: SampleBatch, spec: SplitSpec) 
     val_idx = perm[n - spec.val_count:] if spec.val_count else perm[:0]
     train = train_source.take(train_idx) if spec.train_count else None
     val = train_source.take(val_idx) if spec.val_count else None
-    test = test_source.take(np.arange(spec.test_count)) if spec.test_count else None
+    head = slice(spec.test_count)
+    test = (SampleBatch(test_source.inputs[head].copy(), test_source.targets[head].copy())
+            if spec.test_count else None)
     return train, val, test
 
 
@@ -277,12 +295,18 @@ def synthetic_regression(name: str, m: int, noise_sd: float, seed: int) -> Sampl
 def synthetic_blobs(m: int, num_classes: int, dim: int, seed: int,
                     separation: float = 3.0, noise_sd: float = 1.0) -> SampleBatch:
     """Gaussian-blob classification set: one random unit-direction center per
-    class at distance `separation`, isotropic noise.  Deterministic per seed."""
+    class at distance `separation`, isotropic noise.  Deterministic per seed.
+    The noise is drawn into the output array and the centres are added to
+    it in place, a block of rows at a time, so no full-size temporary is
+    allocated."""
     if m < 1 or num_classes < 2 or dim < 1:
         raise ValueError("need m >= 1, num_classes >= 2, dim >= 1")
     rng = rng_for(seed, "blobs")
     centers = rng.normal(size=(num_classes, dim))
     centers *= separation / np.linalg.norm(centers, axis=1, keepdims=True)
     labels = rng.integers(0, num_classes, size=m)
-    x = centers[labels] + rng.normal(0.0, noise_sd, size=(m, dim))
+    x = rng.normal(0.0, noise_sd, size=(m, dim))
+    for start in range(0, m, BLOB_CHUNK_ROWS):
+        rows = slice(start, start + BLOB_CHUNK_ROWS)
+        x[rows] += centers[labels[rows]]
     return SampleBatch(x, labels.astype(np.int64))

@@ -337,6 +337,21 @@ class TestEvalCommand:
                   "--out", out] + SINE_TRAIN[:2] + SINE_TRAIN[2:])
         assert rc == EXIT_OK
 
+    def test_eval_reads_net_from_the_model(self, tmp_path, capsys):
+        # the default net is 784-128-10; without --set net the sine 1-8-1
+        # model still gets width-1 targets, the same test set as with it
+        out = tmp_path / "out"
+        assert run(["train", "--strategy", "ce", "--out", out, "--run-name", "m"] + SINE_TRAIN) == EXIT_OK
+        at = SINE_TRAIN.index("net=1,8,1")
+        without_net = SINE_TRAIN[:at - 1] + SINE_TRAIN[at + 1:]
+        lines = {}
+        for name, extra in (("given", SINE_TRAIN), ("read", without_net)):
+            capsys.readouterr()
+            assert run(["eval", "--model", out / "m.model.txt", "--out", out] + extra) == EXIT_OK
+            lines[name] = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("test:")]
+        assert len(lines["given"]) == 1
+        assert lines["read"] == lines["given"]
+
     def test_eval_on_another_kind_of_data_exit_1(self, tmp_path, capsys):
         # a sine regression model on blob class labels
         out = tmp_path / "out"

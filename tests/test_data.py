@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import urllib.request
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from convexlab.data import (
+    BLOB_CHUNK_ROWS,
     FETCH_TIMEOUT_S,
     IdxFormatError,
     MNIST_FILES,
@@ -208,6 +210,22 @@ class TestSplit:
         _, _, te = split(train_src, test_src, SplitSpec(30, 10, 20, shuffle_seed=3))
         assert np.all(te.inputs == 77.0)
 
+    def test_parts_are_copies_of_unchanged_rows(self):
+        # test is the head of its source, yet a copy: a view would keep the
+        # whole test source alive behind a small test set
+        train_src, test_src = make_source(60), make_source(40, seed=1)
+        spec = SplitSpec(30, 10, 20, shuffle_seed=4)
+        tr, va, te = split(train_src, test_src, spec)
+        for part, source in ((tr, train_src), (va, train_src), (te, test_src)):
+            assert not np.shares_memory(part.inputs, source.inputs)
+            assert not np.shares_memory(part.targets, source.targets)
+        assert np.array_equal(te.inputs, test_src.inputs[:20])
+        assert np.array_equal(te.targets, test_src.targets[:20])
+        rows = {tuple(row): i for i, row in enumerate(train_src.inputs)}
+        for part in (tr, va):
+            idx = [rows[tuple(row)] for row in part.inputs]
+            assert np.array_equal(part.targets, train_src.targets[idx])
+
 
 class TestBatches:
     def test_short_final_batch(self):
@@ -262,6 +280,32 @@ class TestSynthetic:
         again = synthetic_blobs(100, num_classes=4, dim=6, seed=6)
         assert np.array_equal(ds.inputs, again.inputs)
 
+    def test_blobs_equal_centres_plus_noise_bit_for_bit(self):
+        # the in-place, blockwise addition gives the one-expression sum: the
+        # draws keep their order (centres, labels, noise) and addition commutes
+        from convexlab.seeds import rng_for
+
+        m, k, dim, seed, separation, noise_sd = 2 * BLOB_CHUNK_ROWS + 37, 5, 7, 9, 2.5, 0.7
+        ds = synthetic_blobs(m, k, dim, seed, separation=separation, noise_sd=noise_sd)
+        rng = rng_for(seed, "blobs")
+        centers = rng.normal(size=(k, dim))
+        centers *= separation / np.linalg.norm(centers, axis=1, keepdims=True)
+        labels = rng.integers(0, k, size=m)
+        expected = centers[labels] + rng.normal(0.0, noise_sd, size=(m, dim))
+        assert ds.inputs.tobytes() == expected.tobytes()
+        assert np.array_equal(ds.targets, labels)
+
+    def test_blobs_allocate_no_full_size_temporary(self):
+        tracemalloc.start()
+        try:
+            ds = synthetic_blobs(6000, 10, 784, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one output array plus a block of centres and the finiteness mask;
+        # a full-size centres[labels] temporary would read about 2x
+        assert peak < 1.5 * ds.inputs.nbytes
+
 
 class TestSeedStreams:
     def test_named_substreams_are_independent(self):
@@ -297,6 +341,57 @@ class TestSampleBatch:
             SampleBatch(np.zeros((3, 2)), np.zeros(2))
         with pytest.raises(ValueError):
             SampleBatch(np.array([[np.inf]]), np.zeros(1))
+
+    def test_take_of_a_run_is_a_view(self):
+        src = make_source(20)
+        for indices in (np.arange(3, 11), range(3, 11), np.arange(20), [4], range(19, 20),
+                        np.arange(5, 9, dtype=np.int32)):
+            part = src.take(indices)
+            rows = np.asarray(indices)
+            assert np.shares_memory(part.inputs, src.inputs), indices
+            assert np.shares_memory(part.targets, src.targets), indices
+            assert np.array_equal(part.inputs, src.inputs[rows])
+            assert np.array_equal(part.targets, src.targets[rows])
+
+    def test_take_of_other_indices_is_a_copy(self):
+        src = make_source(20)
+        mask = np.zeros(20, dtype=bool)
+        mask[[2, 3, 4]] = True
+        for indices in (np.array([3, 5, 4]), np.arange(10, 2, -1), np.arange(2, 12, 2),
+                        np.array([2, 3, 5, 6]), np.array([5, 6, 7, 7]), mask,
+                        np.random.default_rng(0).permutation(20)):
+            part = src.take(indices)
+            assert not np.shares_memory(part.inputs, src.inputs), indices
+            assert not np.shares_memory(part.targets, src.targets), indices
+            assert np.array_equal(part.inputs, src.inputs[indices])
+            assert np.array_equal(part.targets, src.targets[indices])
+
+    def test_take_keeps_fancy_index_behaviour_at_the_edges(self):
+        src = make_source(20)
+        for indices in (np.arange(18, 21), range(15, 25), [20]):
+            with pytest.raises(IndexError):
+                src.take(indices)
+        for indices in (np.arange(-3, 0), range(-5, -1)):
+            part = src.take(indices)
+            assert np.array_equal(part.inputs, src.inputs[np.asarray(indices)])
+            assert np.array_equal(part.targets, src.targets[np.asarray(indices)])
+            assert not np.shares_memory(part.inputs, src.inputs)
+        grid = src.take(np.array([[0, 1], [2, 3]]))
+        assert grid.inputs.shape == (2, 2, 3)
+        with pytest.raises(ValueError):
+            src.take(np.arange(0))  # an empty batch is refused as before
+
+    def test_contiguous_take_allocates_no_copy_of_its_rows(self):
+        src = synthetic_blobs(6000, 10, 784, seed=1)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            part = src.take(np.arange(1000, 6000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the finiteness check's boolean mask is the only buffer, 1/8 of a copy
+        assert peak - base < 0.2 * (part.inputs.nbytes + part.targets.nbytes)
 
     def test_classification_flag(self):
         assert make_source(5).is_classification
