@@ -6,29 +6,28 @@ lam, the latter in closed form from the per-sample gradients and the
 criterion's softmax weights (divided by lam * rae, which keeps the sign of
 every eigenvalue); each is eigendecomposed with LAPACK and tested for
 positive semidefiniteness.  psd_fraction is the share of points
-whose Hessian is PSD.  Two problems:
+whose Hessian is PSD.  Both problems come from `scan_problem`, as the CLI's
+do:
 
   * a 1-3-1 tanh regressor on a scaled sine, where the plain squared error
     is nowhere convex over the sampled box; the tilted criterion is nowhere
     convex there either, at any lam swept (a negative result: the region
     does not grow on this problem);
-  * logistic regression, convex to begin with, where the region is the
+  * the `logistic` preset, convex to begin with, where the region is the
     whole box at every lam and containment of the base criterion's PSD set
     is non-vacuous.
 
-CLI equivalent: `convexlab scan --net 1,3,1 --lambdas 1,2,4,8 --points 200`.
+CLI equivalents: `convexlab scan --net 1,3,1 --lambdas 1,2,4,8 --points 200`
+and `convexlab scan --preset logistic`.
 """
 
 import numpy as np
 
-from convexlab import SampleBatch, scan_convexity, synthetic_regression
-from convexlab.network import init_model
+from convexlab import scan_convexity, scan_problem
 
 # scaled sine: larger targets mean larger per-sample losses, so the tilt
 # lam * c is strong already at small lam
-base = synthetic_regression("sine", 20, 0.0, seed=0)
-dataset = SampleBatch(base.inputs, 6.0 * base.targets)
-template = init_model([1, 3, 1], "tanh", "identity-squared", seed=0)
+template, dataset = scan_problem((1, 3, 1))
 
 scan = scan_convexity(template, dataset, [1, 2, 4, 8], num_points=60, box_radius=1.0, seed=0)
 print("1-3-1 tanh on scaled sine, 60 points, box radius 1.0")
@@ -48,10 +47,8 @@ for j in idx:
     trail = " ".join(f"{closeness[i, j]:+9.2e}" for i in range(len(scan.lambdas)))
     print(f"  point {j:3d}: per lam  {trail}")
 
-print("\nlogistic regression (convex base loss): every point PSD at every lam")
-x = np.linspace(-2, 2, 20)
-log_template = init_model([1, 1], "tanh", "sigmoid-binary-ce", seed=0)
-log_dataset = SampleBatch(x[:, None], (x > 0).astype(np.int64))
+print("\nlogistic preset (convex base loss): every point PSD at every lam")
+log_template, log_dataset = scan_problem((1, 1), preset="logistic")
 log_scan = scan_convexity(log_template, log_dataset, [1, 2, 4, 8], num_points=40,
                           box_radius=2.0, seed=0)
 for lam, frac in zip(log_scan.lambdas, log_scan.psd_fraction):

@@ -20,6 +20,7 @@ from .convexity import (
     RegionScan,
     fd_hessian,
     scan_convexity,
+    scan_problem,
 )
 from .data import (
     SampleBatch,

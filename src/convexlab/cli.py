@@ -2,7 +2,8 @@
 `scan`, and `eval`.
 
 Configuration is one flat key=value mapping (`KEY_SPECS`), built in layers:
-defaults, then the `--config` file (one pair per line, `#` comments), then
+defaults (the library's own wherever it defines one, so the two cannot
+drift), then the `--config` file (one pair per line, `#` comments), then
 `--set key=value` overrides, then the command's flags.  Every flag is a
 shorthand for `--set` on one key (`COMMANDS`), so each value, whatever its
 source, is parsed once by its key's parser into a plain dict before any data
@@ -11,25 +12,26 @@ and `eval` without `model`.  `train` and `gridsearch` build their
 `TrainConfig`s, every grid point included, before loading data too.  No key
 sets the output mode: `network.output_mode_for` derives it from the
 targets, and labels or real targets that `net` cannot fit are refused as
-the data loads.  `train`, `gridsearch` and `scan` echo every key to
-`<run>.resolved.cfg`, which reproduces the run; a refused run writes none.
-Stable exit codes: 0 ok, 1 config/usage, 2 transport, 3 training failure,
-4 verification failure.
+the data loads.  `scan` takes its problem from `convexity.scan_problem`.
+`train`, `gridsearch` and `scan` echo every key to `<run>.resolved.cfg`,
+which reproduces the run; a refused run writes none.  Stable exit codes: 0
+ok, 1 config/usage, 2 transport, 3 training failure, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
-from .convexity import MAX_SCAN_PARAMS, scan_convexity, write_scan_csvs
+from . import convexity, gradcheck, trainer
+from .convexity import scan_convexity, scan_problem, write_scan_csvs
 from .data import (
     DEFAULT_MNIST_URL,
     IdxFormatError,
-    SampleBatch,
     SplitSpec,
     TransportError,
     default_data_dir,
@@ -40,8 +42,7 @@ from .data import (
     synthetic_regression,
 )
 from .gradcheck import run_gradcheck
-from .network import _param_count, deserialize_model, init_model, output_mode_for, serialize_model
-from .seeds import rng_for
+from .network import deserialize_model, output_mode_for, serialize_model
 from .trainer import (
     STRATEGIES,
     DivergedError,
@@ -86,6 +87,9 @@ def _choice(*names):
     return parse
 
 
+# TrainConfig's field defaults, shared by the keys of the same name
+_TRAIN = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+
 # key -> (default, parser, help); defaults are stored parsed
 KEY_SPECS = {
     "seed": (0, int, "master seed feeding every named substream"),
@@ -101,35 +105,35 @@ KEY_SPECS = {
     "noise_sd": (0.0, float, "observation noise for synthetic regression"),
     # network
     "net": ((784, 128, 10), _ints, "layer sizes d_0,...,d_L"),
-    "activation": ("tanh", str, "hidden activation: sigmoid | tanh | relu"),
+    "activation": (_TRAIN["activation"], str, "hidden activation: sigmoid | tanh | relu"),
     # training
     "strategy": ("", _choice("", *STRATEGIES), " | ".join(STRATEGIES) + " (train requires it)"),
     "learning_rate": (0.5, float, "SGD step size for the weights"),
     "lambda_lr": ("auto", _float_or_auto, "step size for lam (anrat); auto = learning_rate"),
     "epochs": (20, int, "training epochs"),
     "batch_size": (100, int, "SGD batch size"),
-    "lambda0": (10.0, float, "initial convexity index (train --strategy scheduled default: 100)"),
-    "p": (1, int, "exponent applied as lam**p"),
-    "a": (0.1, float, "penalty weight of the adaptive criterion"),
-    "q": (1, int, "penalty index of the adaptive criterion"),
+    "lambda0": (_TRAIN["lambda0"], float, "initial convexity index (train --strategy scheduled default: 100)"),
+    "p": (_TRAIN["p"], int, "exponent applied as lam**p"),
+    "a": (_TRAIN["a"], float, "penalty weight of the adaptive criterion"),
+    "q": (_TRAIN["q"], int, "penalty index of the adaptive criterion"),
     "rho": (0.8, float, "per-epoch lam decay of the scheduled strategy"),
     # grid search
-    "lr_grid": ((1.0, 0.5, 0.1), _floats, "learning-rate grid"),
-    "a_grid": ((1.0, 0.1, 0.001), _floats, "penalty-weight grid"),
+    "lr_grid": (trainer.DEFAULT_LR_GRID, _floats, "learning-rate grid"),
+    "a_grid": (trainer.DEFAULT_A_GRID, _floats, "penalty-weight grid"),
     # gradcheck
-    "gc_cases": (120, int, "number of random gradcheck configurations"),
-    "gc_tolerance": (1e-5, float, "max relative error for weight gradients"),
-    "gc_tolerance_lambda": (1e-6, float, "max relative error for the lam derivative"),
-    "gc_lambdas": ((0.001, 1.0, 10.0, 100.0), _floats, "lam values swept by gradcheck"),
-    "gc_ps": ((1, 2), _ints, "p values swept by gradcheck"),
+    "gc_cases": (gradcheck.DEFAULT_CASES, int, "number of random gradcheck configurations"),
+    "gc_tolerance": (gradcheck.TOL_WEIGHTS, float, "max relative error for weight gradients"),
+    "gc_tolerance_lambda": (gradcheck.TOL_LAMBDA, float, "max relative error for the lam derivative"),
+    "gc_lambdas": (gradcheck.DEFAULT_LAMBDAS, _floats, "lam values swept by gradcheck"),
+    "gc_ps": (gradcheck.DEFAULT_PS, _ints, "p values swept by gradcheck"),
     # scan
     "lambdas": ((1.0, 2.0, 4.0, 8.0), _floats, "ascending lam values for the convexity scan"),
     "points": (200, int, "parameter-space sample points per lam"),
     "box_radius": (1.0, float, "half-width of the sampling box"),
-    "scan_samples": (20, int, "size of the scan's fixed synthetic dataset"),
-    "target_scale": (6.0, float, "target amplitude of the scan dataset (scales the losses "
-                                 "so the tilt is strong already at small lam)"),
-    "preset": ("", _choice("", "logistic"), "scan preset: '' | logistic"),
+    "scan_samples": (convexity.SCAN_SAMPLES, int, "size of the scan's fixed synthetic dataset"),
+    "target_scale": (convexity.TARGET_SCALE, float, "target amplitude of the scan dataset (scales "
+                                                    "the losses so the tilt is strong already at small lam)"),
+    "preset": ("", _choice(*convexity.SCAN_PRESETS), "scan preset: '' | logistic (ignores net, activation)"),
     # eval
     "model": ("", str, "path of a serialized model file"),
 }
@@ -332,25 +336,9 @@ def cmd_gradcheck(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _scan_problem(cfg: dict):
-    seed = cfg["seed"]
-    if cfg["preset"] == "logistic":
-        x = rng_for(seed, "scan-data").uniform(-2.0, 2.0, size=cfg["scan_samples"])
-        dataset = SampleBatch(x[:, None], (x > 0).astype(np.int64))
-        dims, activation = (1, 1), "tanh"
-    else:
-        base = synthetic_regression("sine", cfg["scan_samples"], cfg["noise_sd"], seed)
-        dataset = SampleBatch(base.inputs, cfg["target_scale"] * base.targets)
-        dims, activation = cfg["net"], cfg["activation"]
-        # an oversized net is named before the targets' width is checked
-        n = _param_count(dims)
-        if n > MAX_SCAN_PARAMS:
-            raise ValueError(f"{n} parameters exceeds the scan guard of {MAX_SCAN_PARAMS}")
-    return init_model(dims, activation, output_mode_for(dataset, dims[-1]), seed), dataset
-
-
 def cmd_scan(cfg: dict) -> int:
-    template, dataset = _scan_problem(cfg)
+    template, dataset = scan_problem(cfg["net"], cfg["activation"], cfg["scan_samples"],
+                                     cfg["target_scale"], cfg["noise_sd"], cfg["seed"], cfg["preset"])
     scan = scan_convexity(template, dataset, cfg["lambdas"], num_points=cfg["points"],
                           box_radius=cfg["box_radius"], seed=cfg["seed"], p=cfg["p"])
     _echo_resolved(cfg)  # after scan_convexity has checked its arguments

@@ -16,7 +16,9 @@ exponentiated, so no lam can overflow.
 Scans are restricted to smooth activations (tanh, sigmoid): relu kinks sit
 on measure-zero sets that finite differences straddle.  Each point's
 Hessians (base criterion and every lam) come from one FD pass, independent
-of the other points; the scan assembles results single-threaded.
+of the other points; the scan assembles results single-threaded.  Any
+positive finite lam scans, below 1 too, by `CriterionParams`' rule.
+`scan_problem` is the one builder of the scan's problems.
 """
 
 from __future__ import annotations
@@ -26,14 +28,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import EXP_CAP, CriterionParams, NumericDomainError, sample_weights
+from .data import SampleBatch, synthetic_regression
 from .gradcheck import fd_gradient
-from .network import MlpModel, batch_losses, forward, unflatten
+from .network import (
+    MlpModel,
+    _param_count,
+    batch_losses,
+    forward,
+    init_model,
+    output_mode_for,
+    unflatten,
+)
 from .seeds import rng_for
 
 MAX_HESSIAN_DIM = 200
 MAX_SCAN_PARAMS = 60
 DEFAULT_FD_STEP = 1e-4
 SMOOTH_ACTIVATIONS = ("tanh", "sigmoid")
+SCAN_PRESETS = ("", "logistic")
+# the scan problem's sine sample count and target amplitude: larger targets
+# mean larger per-sample losses, so the tilt is strong already at small lam
+SCAN_SAMPLES = 20
+TARGET_SCALE = 6.0
 
 
 def psd_tolerance(hessian):
@@ -122,6 +138,31 @@ def fd_hessian(objective, point, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
+def scan_problem(net, activation: str = "tanh", samples: int = SCAN_SAMPLES,
+                 target_scale: float = TARGET_SCALE, noise_sd: float = 0.0, seed: int = 0,
+                 preset: str = "") -> tuple:
+    """(model template, dataset) of a scan.  By default: `samples` sine
+    targets (`synthetic_regression`) times `target_scale`, on the `net`
+    layer sizes with `activation`.  The `logistic` preset ignores `net`,
+    `activation` and `target_scale`: a 1-1 tanh net on `samples` inputs
+    drawn uniformly from [-2, 2], labelled by their sign.  The output mode
+    follows from the targets (`output_mode_for`)."""
+    if preset not in SCAN_PRESETS:
+        raise ValueError(f"preset must be one of {SCAN_PRESETS}, got {preset!r}")
+    if preset == "logistic":
+        x = rng_for(seed, "scan-data").uniform(-2.0, 2.0, size=samples)
+        dataset = SampleBatch(x[:, None], (x > 0).astype(np.int64))
+        net, activation = (1, 1), "tanh"
+    else:
+        base = synthetic_regression("sine", samples, noise_sd, seed)
+        dataset = SampleBatch(base.inputs, target_scale * base.targets)
+        # an oversized net is named before the targets' width is checked
+        n = _param_count(net)
+        if n > MAX_SCAN_PARAMS:
+            raise ValueError(f"{n} parameters exceeds the scan guard of {MAX_SCAN_PARAMS}")
+    return init_model(net, activation, output_mode_for(dataset, net[-1]), seed), dataset
+
+
 def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
                    box_radius: float, seed: int, p: int = 1,
                    h: float = DEFAULT_FD_STEP) -> RegionScan:
@@ -135,7 +176,8 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
     centre.  One FD pass of W @ c gives every sum_i w_ki H_i, one stacked
     `fd_gradient` call gives the per-sample gradients g_i, and the
     Gauss-Newton term s_k * sum_i w_ki g_i g_i^T (s_0 = 0) completes each
-    Hessian.
+    Hessian.  lams must be strictly ascending, each one (with p) a valid
+    `CriterionParams`, and box_radius positive and finite.
     """
     n = model_template.param_count
     if n > MAX_SCAN_PARAMS:
@@ -147,14 +189,15 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
         raise ValueError("lambdas must be non-empty")
     if any(b <= a for a, b in zip(lam_list, lam_list[1:])):
         raise ValueError(f"lambdas must be strictly ascending, got {lam_list}")
-    if lam_list[0] < 1.0:
-        raise ValueError(f"lambdas must all be >= 1, got {lam_list}")
+    params = [CriterionParams(lam, p) for lam in lam_list]
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
+    if not (np.isfinite(box_radius) and box_radius > 0):
+        raise ValueError(f"box_radius must be positive and finite, got {box_radius}")
 
     points = rng_for(seed, "scan").uniform(-box_radius, box_radius, size=(num_points, n))
     # rows: the base criterion (s = 0, uniform weights), then one per lam
-    scales = np.array([0.0] + [lam ** p for lam in lam_list])
+    scales = np.array([0.0] + [pr.scale for pr in params])
     min_eigs = np.empty((len(scales), num_points))
     tols = np.empty((len(scales), num_points))
     used_nrae = np.empty((len(lam_list), num_points), dtype=bool)
@@ -166,7 +209,7 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
     for j, x in enumerate(points):
         c0 = losses(x)
         weights = np.array([np.full(c0.size, 1.0 / c0.size)]
-                           + [sample_weights(c0, CriterionParams(lam, p)) for lam in lam_list])
+                           + [sample_weights(c0, pr) for pr in params])
         grads = fd_gradient(losses, x)
         hess = fd_hessian(lambda v: weights @ losses(v), x, h)
         hess += np.einsum("km,mi,mj->kij", scales[:, None] * weights, grads, grads)

@@ -46,6 +46,10 @@ from .seeds import rng_for
 
 DEFAULT_LAMBDAS = (1e-3, 1.0, 10.0, 100.0)
 DEFAULT_PS = (1, 2)
+DEFAULT_CASES = 120
+# the largest relative errors that pass: weight gradients, lam derivative
+TOL_WEIGHTS = 1e-5
+TOL_LAMBDA = 1e-6
 # Coordinates probed per objective call in fd_gradient: a call evaluates a
 # (2 * FD_BLOCK, n) stack, which bounds the memory of the probe stack and of
 # the stacked forward pass behind it.
@@ -239,16 +243,19 @@ def _is_worse(err: float, worst: float) -> bool:
     return worst == worst and not err <= worst
 
 
-def run_gradcheck(num_cases: int = 100, lambdas=DEFAULT_LAMBDAS, ps=DEFAULT_PS,
-                  tol_weights: float = 1e-5, tol_lambda: float = 1e-6,
+def run_gradcheck(num_cases: int = DEFAULT_CASES, lambdas=DEFAULT_LAMBDAS, ps=DEFAULT_PS,
+                  tol_weights: float = TOL_WEIGHTS, tol_lambda: float = TOL_LAMBDA,
                   seed: int = 0) -> GradCheckSummary:
     """Sweep num_cases configurations cycling through every (lam, p, output
     mode) cell, tracking the worst relative error of each suite; the first
-    NaN error, if any, is the worst.  A sweep that would check nothing is
-    refused."""
+    NaN error, if any, is the worst.  A sweep that would check nothing, or
+    a tolerance that is not positive and finite, is refused."""
     if num_cases < 1 or not len(lambdas) or not len(ps):
         raise ValueError(f"gradcheck needs at least one case, lam and p, got num_cases={num_cases} "
                          f"lambdas={tuple(lambdas)} ps={tuple(ps)}")
+    for name, tol in (("tol_weights", tol_weights), ("tol_lambda", tol_lambda)):
+        if not (np.isfinite(tol) and tol > 0):
+            raise ValueError(f"{name} must be positive and finite, got {tol}")
     t0 = time.perf_counter()
     worst_w = (-1.0, None)
     worst_l = (-1.0, None)

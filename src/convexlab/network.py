@@ -326,6 +326,8 @@ def serialize_model(model: MlpModel) -> str:
 
 
 def deserialize_model(text: str) -> MlpModel:
+    """The model `serialize_model` wrote; only blank lines may follow the
+    last layer."""
     lines = text.splitlines()
     if not lines:
         raise ModelFormatError("line 1: empty model text")
@@ -362,4 +364,7 @@ def deserialize_model(text: str) -> MlpModel:
             w[r] = vals[:-1]
             b[r] = vals[-1]
             ln += 1
+    for extra in range(ln, len(lines)):
+        if lines[extra].strip():
+            raise ModelFormatError(f"line {extra + 1}: unexpected content after the last layer")
     return model

@@ -104,8 +104,8 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r} (expected one of {STRATEGIES})")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         validate_net(self.layer_dims, self.activation)
@@ -122,8 +122,8 @@ class TrainConfig:
             raise ValueError(f"rho is only meaningful for the scheduled strategy, not {self.strategy!r}")
         if self.strategy != "anrat" and self.lambda_lr is not None:
             raise ValueError(f"lambda_lr is only meaningful for the anrat strategy, not {self.strategy!r}")
-        if self.lambda_lr is not None and self.lambda_lr <= 0:
-            raise ValueError("lambda_lr must be positive")
+        if self.lambda_lr is not None and not (np.isfinite(self.lambda_lr) and self.lambda_lr > 0):
+            raise ValueError(f"lambda_lr must be positive and finite, got {self.lambda_lr}")
         return self
 
     @property

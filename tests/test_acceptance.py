@@ -21,7 +21,7 @@ from convexlab.criteria import (
     nrae,
     sample_weights,
 )
-from convexlab.convexity import scan_convexity
+from convexlab.convexity import scan_convexity, scan_problem
 from convexlab.data import (
     IdxFormatError,
     SampleBatch,
@@ -131,9 +131,7 @@ def test_criterion_4_convexity_region_expansion(tmp_path):
 
     # containment of the base criterion's PSD set, plus a non-vacuous check
     # on a convex problem where every point is base-PSD
-    template = init_model([1, 3, 1], "tanh", "identity-squared", seed=0)
-    base = synthetic_regression("sine", 20, 0.0, seed=0)
-    ds = SampleBatch(base.inputs, 6.0 * base.targets)
+    template, ds = scan_problem((1, 3, 1))
     scan = scan_convexity(template, ds, [1, 2, 4, 8], num_points=200, box_radius=1.0, seed=0)
     assert np.allclose(scan.psd_fraction, fractions)
     max_viol = int(scan.comparison_violations().max())

@@ -1,4 +1,6 @@
+import dataclasses
 import gzip
+import inspect
 import os
 import re
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 import convexlab.cli as cli
+from convexlab import convexity, gradcheck, trainer
 from convexlab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -22,13 +25,53 @@ from convexlab.cli import (
     resolved_text,
 )
 from convexlab.data import MNIST_FILES, synthetic_blobs, write_idx_images, write_idx_labels
-from convexlab.network import output_mode_for
+from convexlab.network import init_model, output_mode_for, serialize_model
 
 SINE_TRAIN = [
     "--set", "dataset=sine", "--set", "net=1,8,1", "--set", "train_count=120",
     "--set", "val_count=40", "--set", "test_count=40", "--set", "epochs=4",
     "--set", "batch_size=20", "--set", "learning_rate=0.05",
 ]
+
+
+RESOLVED_DEFAULTS = """\
+seed = 0
+data_dir = 
+out = runs
+run_name = run
+mnist_base_url = https://ossci-datasets.s3.amazonaws.com/mnist/
+dataset = mnist
+train_count = 5000
+val_count = 1000
+test_count = 1000
+noise_sd = 0.0
+net = 784,128,10
+activation = tanh
+strategy = 
+learning_rate = 0.5
+lambda_lr = auto
+epochs = 20
+batch_size = 100
+lambda0 = 10.0
+p = 1
+a = 0.1
+q = 1
+rho = 0.8
+lr_grid = 1.0,0.5,0.1
+a_grid = 1.0,0.1,0.001
+gc_cases = 120
+gc_tolerance = 1e-05
+gc_tolerance_lambda = 1e-06
+gc_lambdas = 0.001,1.0,10.0,100.0
+gc_ps = 1,2
+lambdas = 1.0,2.0,4.0,8.0
+points = 200
+box_radius = 1.0
+scan_samples = 20
+target_scale = 6.0
+preset = 
+model = 
+"""
 
 
 def run(args):
@@ -130,6 +173,33 @@ class TestConfigParsing:
         path = tmp_path / "resolved.cfg"
         path.write_text(text)
         assert resolve(["train", "--config", path]) == cfg
+
+    def test_shared_defaults_are_the_library_values(self):
+        fields = {f.name: f.default for f in dataclasses.fields(trainer.TrainConfig)}
+        shared = {
+            "lr_grid": trainer.DEFAULT_LR_GRID, "a_grid": trainer.DEFAULT_A_GRID,
+            "gc_lambdas": gradcheck.DEFAULT_LAMBDAS, "gc_ps": gradcheck.DEFAULT_PS,
+            "gc_cases": gradcheck.DEFAULT_CASES, "gc_tolerance": gradcheck.TOL_WEIGHTS,
+            "gc_tolerance_lambda": gradcheck.TOL_LAMBDA,
+            "activation": fields["activation"], "lambda0": fields["lambda0"], "p": fields["p"],
+            "a": fields["a"], "q": fields["q"],
+            "scan_samples": convexity.SCAN_SAMPLES, "target_scale": convexity.TARGET_SCALE,
+        }
+        for key, value in shared.items():
+            default = KEY_SPECS[key][0]
+            assert default == value and type(default) is type(value), key
+        run_defaults = inspect.signature(gradcheck.run_gradcheck).parameters
+        assert run_defaults["num_cases"].default == KEY_SPECS["gc_cases"][0]
+        assert run_defaults["tol_weights"].default == KEY_SPECS["gc_tolerance"][0]
+        assert run_defaults["tol_lambda"].default == KEY_SPECS["gc_tolerance_lambda"][0]
+        assert run_defaults["lambdas"].default == KEY_SPECS["gc_lambdas"][0]
+        assert run_defaults["ps"].default == KEY_SPECS["gc_ps"][0]
+        assert KEY_SPECS["preset"][1]("logistic") == "logistic"
+
+    def test_all_defaults_echo(self):
+        # the echo of an all-defaults run, as it has always read
+        cfg = {key: default for key, (default, _, _) in KEY_SPECS.items()}
+        assert resolved_text(cfg) == RESOLVED_DEFAULTS
 
     @pytest.mark.parametrize("argv, named", [
         (["train", "--strategy", "bogus"], "'strategy'"),
@@ -308,8 +378,14 @@ class TestCriterionValues:
         (["train", "--strategy", "ce", "--set", "activation=foo"], "activation"),
         (["gridsearch", "--set", "net=1,0,1"], "layer sizes"),
         (["gridsearch", "--set", "activation=foo"], "activation"),
+        (["train", "--strategy", "ce", "--set", "learning_rate=nan"], "learning_rate"),
+        (["train", "--strategy", "ce", "--set", "learning_rate=inf"], "learning_rate"),
+        (["train", "--strategy", "anrat", "--set", "lambda_lr=inf"], "lambda_lr"),
+        (["train", "--strategy", "anrat", "--set", "lambda_lr=nan"], "lambda_lr"),
+        (["gridsearch", "--set", "lr_grid=0.1,nan"], "learning_rate"),
     ], ids=["ce-p", "anrat-a", "anrat-q", "grid-q", "grid-a-point", "grid-p",
-            "ce-net", "ce-activation", "grid-net", "grid-activation"])
+            "ce-net", "ce-activation", "grid-net", "grid-activation", "ce-lr-nan", "ce-lr-inf",
+            "anrat-lambda-lr-inf", "anrat-lambda-lr-nan", "grid-lr-point-nan"])
     def test_bad_value_exit_1_before_data(self, tmp_path, capsys, monkeypatch, argv, key):
         loads = []
         monkeypatch.setattr(cli, "_load_datasets", lambda cfg: loads.append(cfg))
@@ -362,6 +438,15 @@ class TestEvalCommand:
         assert rc == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "imply output mode sigmoid-binary-ce, but the model's is identity-squared" in captured.err
+        assert "test:" not in captured.out
+
+    def test_eval_of_two_concatenated_models_exit_1(self, tmp_path, capsys):
+        text = serialize_model(init_model([1, 8, 1], "tanh", "identity-squared", seed=0))
+        path = tmp_path / "doubled.model.txt"
+        path.write_text(text + text)
+        assert run(["eval", "--model", path, "--out", tmp_path] + SINE_TRAIN) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"line {len(text.splitlines()) + 1}: unexpected content after the last layer" in captured.err
         assert "test:" not in captured.out
 
     def test_eval_requires_model(self, tmp_path):
@@ -433,7 +518,6 @@ class TestGradcheckCommand:
         assert run(["gradcheck", "--tolerance", "1e-13", "--set", "gc_cases=6"]) == EXIT_VERIFICATION
 
     def test_nan_error_exit_4(self, capsys, monkeypatch):
-        import convexlab.gradcheck as gradcheck
         real = gradcheck.check_case
         monkeypatch.setattr(gradcheck, "check_case",
                             lambda case: (float("nan"), real(case)[1]) if case.seed == 1001 else real(case))
@@ -443,15 +527,30 @@ class TestGradcheckCommand:
         assert "max weight-gradient relative error: nan" in captured.out
         assert "worst weight case:" in captured.err and "seed=1001" in captured.err
 
-    @pytest.mark.parametrize("args", [
-        ["--set", "gc_cases=0"], ["--set", "gc_cases=-2"], ["--lambda="], ["--p="],
-    ], ids=["zero-cases", "negative-cases", "no-lambdas", "no-ps"])
-    def test_empty_sweep_exit_1(self, capsys, args):
-        # a sweep that checks nothing must not print PASS
+    @pytest.mark.parametrize("args, named", [
+        (["--set", "gc_cases=0"], "at least one"),
+        (["--set", "gc_cases=-2"], "at least one"),
+        (["--lambda="], "at least one"),
+        (["--p="], "at least one"),
+        (["--tolerance", "inf", "--tolerance-lambda", "inf"], "tol_weights must be positive and finite"),
+        (["--tolerance", "0"], "tol_weights must be positive and finite"),
+        (["--tolerance", "nan"], "tol_weights must be positive and finite"),
+        (["--tolerance-lambda", "inf"], "tol_lambda must be positive and finite"),
+        (["--tolerance-lambda", "0"], "tol_lambda must be positive and finite"),
+        (["--tolerance-lambda", "nan"], "tol_lambda must be positive and finite"),
+    ], ids=["zero-cases", "negative-cases", "no-lambdas", "no-ps", "inf-tolerances",
+            "zero-tolerance", "nan-tolerance", "inf-tolerance-lambda", "zero-tolerance-lambda",
+            "nan-tolerance-lambda"])
+    def test_empty_sweep_exit_1(self, capsys, monkeypatch, args, named):
+        # a sweep that checks nothing, or passes or fails whatever the
+        # errors, must not print PASS or blame the code; no case runs
+        checked = []
+        monkeypatch.setattr(gradcheck, "check_case", lambda case: checked.append(case))
         assert run(["gradcheck"] + args) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "at least one" in captured.err
+        assert named in captured.err
         assert "PASS" not in captured.out
+        assert checked == []
 
 
 class TestScanCommand:
@@ -487,6 +586,15 @@ class TestScanCommand:
         for name in ("s.scan.csv", "s.scan_summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_lambdas_below_one_scan(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["scan", "--net", "1,3,1", "--lambdas", "0.25,0.5,1", "--points", "3",
+                    "--out", out]) == EXIT_OK
+        summary = (out / "run.scan_summary.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in summary[1:]] == ["0.25", "0.5", "1.0"]
+        assert len((out / "run.scan.csv").read_text().splitlines()) == 1 + 3 * 3
+        assert (out / "run.resolved.cfg").exists()
+
     def test_descending_lambdas_exit_1(self, tmp_path):
         rc = run(["scan", "--lambdas", "8,4", "--out", tmp_path])
         assert rc == EXIT_CONFIG
@@ -501,7 +609,17 @@ class TestScanCommand:
         (["--net", "1,3,1", "--set", "activation=relu"], "smooth activation"),
         (["--set", "net=1,8,8,1"], "97 parameters exceeds the scan guard of 60"),
         ([], "101770 parameters exceeds the scan guard of 60"),
-    ], ids=["no-points", "descending", "relu", "deep-net", "default-net"])
+        (["--net", "1,3,1", "--lambdas", "0,1"], "lam must be positive and finite"),
+        (["--net", "1,3,1", "--lambdas=-1,1"], "lam must be positive and finite"),
+        (["--net", "1,3,1", "--lambdas", "nan,1"], "lam must be positive and finite"),
+        (["--net", "1,3,1", "--lambdas", "1,inf"], "lam must be positive and finite"),
+        (["--net", "1,3,1", "--set", "p=0"], "p must be an integer >= 1"),
+        (["--net", "1,3,1", "--box-radius", "nan"], "box_radius must be positive and finite"),
+        (["--net", "1,3,1", "--box-radius", "inf"], "box_radius must be positive and finite"),
+        (["--net", "1,3,1", "--box-radius", "-1"], "box_radius must be positive and finite"),
+    ], ids=["no-points", "descending", "relu", "deep-net", "default-net", "zero-lambda",
+            "negative-lambda", "nan-lambda", "inf-lambda", "zero-p", "nan-box", "inf-box",
+            "negative-box"])
     def test_refused_scan_writes_no_resolved_config(self, tmp_path, capsys, args, named):
         out = tmp_path / "out"
         assert run(["scan", "--out", out] + args) == EXIT_CONFIG

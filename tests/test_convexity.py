@@ -9,18 +9,18 @@ from convexlab.convexity import (
     fd_hessian,
     psd_tolerance,
     scan_convexity,
+    scan_problem,
     write_scan_csvs,
 )
 from convexlab.data import SampleBatch, synthetic_regression
 from convexlab.network import batch_losses, forward, init_model, unflatten
+from convexlab.seeds import rng_for
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "scan_1_3_1_summary.csv")
 
 
 def scaled_sine_problem(num_samples=20, target_scale=6.0, seed=0):
-    template = init_model([1, 3, 1], "tanh", "identity-squared", seed=seed)
-    base = synthetic_regression("sine", num_samples, 0.0, seed=seed)
-    return template, SampleBatch(base.inputs, target_scale * base.targets)
+    return scan_problem((1, 3, 1), samples=num_samples, target_scale=target_scale, seed=seed)
 
 
 def losses_of(template, ds):
@@ -188,12 +188,10 @@ class TestScan:
         assert np.array_equal(scan.psd, scan.min_eigs >= -scan.psd_tol)
         assert np.array_equal(scan.ce_psd, scan.ce_min_eigs >= -scan.ce_psd_tol)
 
-    def test_rejects_bad_arguments(self):
+    def test_rejects_bad_arguments(self, monkeypatch):
         template, ds = scaled_sine_problem()
         with pytest.raises(ValueError):
             scan_convexity(template, ds, [8, 4], num_points=2, box_radius=1.0, seed=0)
-        with pytest.raises(ValueError):
-            scan_convexity(template, ds, [0.5, 1], num_points=2, box_radius=1.0, seed=0)
         with pytest.raises(ValueError):
             scan_convexity(template, ds, [1, 2], num_points=0, box_radius=1.0, seed=0)
         relu = init_model([1, 3, 1], "relu", "identity-squared", seed=0)
@@ -202,6 +200,31 @@ class TestScan:
         big = init_model([4, 16, 4], "tanh", "softmax-ce", seed=0)
         with pytest.raises(ValueError):
             scan_convexity(big, ds, [1, 2], num_points=2, box_radius=1.0, seed=0)
+        # lam and p by CriterionParams' rule, box_radius by its own, all
+        # before the first point is drawn
+        draws = []
+        monkeypatch.setattr(convexity, "rng_for", lambda *args: draws.append(args))
+        for lambdas, p, radius, named in (
+                ([0, 1], 1, 1.0, "lam must be positive and finite"),
+                ([-1, 1], 1, 1.0, "lam must be positive and finite"),
+                ([float("nan"), 1], 1, 1.0, "lam must be positive and finite"),
+                ([1, float("inf")], 1, 1.0, "lam must be positive and finite"),
+                ([0.5, 1], 0, 1.0, "p must be an integer >= 1"),
+                ([1, 2], 1, float("nan"), "box_radius must be positive and finite"),
+                ([1, 2], 1, float("inf"), "box_radius must be positive and finite"),
+                ([1, 2], 1, -1.0, "box_radius must be positive and finite"),
+                ([1, 2], 1, 0.0, "box_radius must be positive and finite")):
+            with pytest.raises(ValueError, match=named):
+                scan_convexity(template, ds, lambdas, num_points=2, box_radius=radius, seed=0, p=p)
+        assert draws == []
+
+    def test_tiny_lambda_matches_base_criterion(self):
+        # lam -> 0 flattens the softmax weights to uniform and the
+        # Gauss-Newton term to 0: the verdicts are the base criterion's
+        template, ds = scaled_sine_problem()
+        scan = scan_convexity(template, ds, [1e-6], num_points=60, box_radius=1.0, seed=0)
+        assert np.array_equal(scan.psd[0], scan.ce_psd)
+        np.testing.assert_allclose(scan.min_eigs[0], scan.ce_min_eigs, rtol=1e-4)
 
     def test_deterministic(self):
         template, ds = scaled_sine_problem()
@@ -209,6 +232,37 @@ class TestScan:
         s2 = scan_convexity(template, ds, [1, 4], num_points=5, box_radius=1.0, seed=11)
         assert np.array_equal(s1.points, s2.points)
         assert np.array_equal(s1.min_eigs, s2.min_eigs)
+
+
+class TestScanProblem:
+    @staticmethod
+    def hand_built(net, seed, preset):
+        # the problem as the CLI built it by hand before scan_problem
+        if preset == "logistic":
+            x = rng_for(seed, "scan-data").uniform(-2.0, 2.0, size=20)
+            dataset = SampleBatch(x[:, None], (x > 0).astype(np.int64))
+            return init_model((1, 1), "tanh", "sigmoid-binary-ce", seed), dataset
+        base = synthetic_regression("sine", 20, 0.0, seed)
+        dataset = SampleBatch(base.inputs, 6.0 * base.targets)
+        return init_model(net, "tanh", "identity-squared", seed), dataset
+
+    @pytest.mark.parametrize("preset", ["", "logistic"])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_matches_the_hand_built_problem(self, preset, seed):
+        template, ds = scan_problem((1, 3, 1), seed=seed, preset=preset)
+        ref_template, ref_ds = self.hand_built((1, 3, 1), seed, preset)
+        assert (template.layer_dims, template.activation, template.output_mode) == \
+            (ref_template.layer_dims, ref_template.activation, ref_template.output_mode)
+        assert template.theta.tobytes() == ref_template.theta.tobytes()
+        for got, ref in ((ds.inputs, ref_ds.inputs), (ds.targets, ref_ds.targets)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_oversized_net_named_before_the_targets(self):
+        with pytest.raises(ValueError, match="101770 parameters exceeds the scan guard of 60"):
+            scan_problem((784, 128, 10))
+        with pytest.raises(ValueError, match="preset must be one of"):
+            scan_problem((1, 3, 1), preset="quadratic")
 
 
 class TestHessianReport:

@@ -302,8 +302,8 @@ class TestSynthetic:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one output array plus a block of centres and the finiteness mask;
-        # a full-size centres[labels] temporary would read about 2x
+        # one output array plus a block of centres; a full-size
+        # centres[labels] temporary would read about 2x
         assert peak < 1.5 * ds.inputs.nbytes
 
 
@@ -339,8 +339,13 @@ class TestSampleBatch:
             SampleBatch(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError):
             SampleBatch(np.zeros((3, 2)), np.zeros(2))
-        with pytest.raises(ValueError):
-            SampleBatch(np.array([[np.inf]]), np.zeros(1))
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.zeros((4, 3))
+            x[2, 1] = bad
+            with pytest.raises(ValueError, match="inputs contain non-finite values"):
+                SampleBatch(x, np.zeros(4))
+        # an input with no features has no extremes, and is not refused for it
+        assert SampleBatch(np.zeros((3, 0)), np.zeros(3)).size == 3
 
     def test_take_of_a_run_is_a_view(self):
         src = make_source(20)
@@ -390,8 +395,22 @@ class TestSampleBatch:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the finiteness check's boolean mask is the only buffer, 1/8 of a copy
-        assert peak - base < 0.2 * (part.inputs.nbytes + part.targets.nbytes)
+        # no copy of the rows, and no finiteness mask either
+        assert peak - base < 0.01 * (part.inputs.nbytes + part.targets.nbytes)
+
+    def test_finiteness_check_allocates_no_mask(self):
+        # min and max find NaN and +-inf without a boolean mask of 1/8 of
+        # the inputs' bytes
+        x = np.random.default_rng(0).normal(size=(6000, 784))
+        y = np.zeros(6000, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            SampleBatch(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 0.01 * x.nbytes
 
     def test_classification_flag(self):
         assert make_source(5).is_classification

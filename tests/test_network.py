@@ -466,6 +466,20 @@ class TestSerialization:
             deserialize_model("\n".join(lines))
 
 
+    def test_content_after_the_last_layer_refused(self):
+        text = serialize_model(init_model([2, 3, 1], "tanh", "identity-squared", seed=0))
+        after = len(text.splitlines()) + 1
+        # a second model, a stray line, and a stray line past blank ones
+        for tail, line in ((text, after), ("garbage 1 2 3\n", after), ("\n\nlayer 3\n", after + 2)):
+            with pytest.raises(ModelFormatError, match=f"line {line}: unexpected content after the last layer"):
+                deserialize_model(text + tail)
+
+    def test_trailing_blank_lines_accepted(self):
+        m = init_model([2, 3, 1], "tanh", "identity-squared", seed=0)
+        m2 = deserialize_model(serialize_model(m) + "\n  \n\t\n")
+        assert np.array_equal(m2.theta, m.theta)
+
+
 class TestBatchLosses:
     def test_softmax_ce_values(self):
         out = np.array([[0.1, 0.7, 0.2], [0.5, 0.25, 0.25]])
