@@ -9,10 +9,11 @@ shorthand for `--set` on one key (`COMMANDS`), so each value, whatever its
 source, is parsed once by its key's parser into a plain dict before any data
 is loaded; unknown keys are rejected, and so are `train` without `strategy`
 and `eval` without `model`.  `train` and `gridsearch` build their
-`TrainConfig`s, every grid point included, before loading data too.  No key
-sets the output mode: `network.output_mode_for` derives it from the
-targets, and labels or real targets that `net` cannot fit are refused as
-the data loads.  `scan` takes its problem from `convexity.scan_problem`.
+`TrainConfig`s from the keys as given, whatever the strategy, every grid
+point included, before loading data too.  No key sets the output mode:
+`network.output_mode_for` derives it from the targets, and labels or real
+targets that `net` cannot fit are refused as the data loads.  `scan` takes
+its problem from `convexity.scan_problem`.
 `train`, `gridsearch` and `scan` echo every key to `<run>.resolved.cfg`,
 which reproduces the run; a refused run writes none.  Stable exit codes: 0
 ok, 1 config/usage, 2 transport, 3 training failure, 4 verification failure.
@@ -112,11 +113,12 @@ KEY_SPECS = {
     "lambda_lr": ("auto", _float_or_auto, "step size for lam (anrat); auto = learning_rate"),
     "epochs": (20, int, "training epochs"),
     "batch_size": (100, int, "SGD batch size"),
-    "lambda0": (_TRAIN["lambda0"], float, "initial convexity index (train --strategy scheduled default: 100)"),
+    "lambda0": (_TRAIN["lambda0"], float, "initial convexity index, used as given: >= 1 for scheduled "
+                                          "(train default: 100), >= 0.001 for anrat"),
     "p": (_TRAIN["p"], int, "exponent applied as lam**p"),
     "a": (_TRAIN["a"], float, "penalty weight of the adaptive criterion"),
     "q": (_TRAIN["q"], int, "penalty index of the adaptive criterion"),
-    "rho": (0.8, float, "per-epoch lam decay of the scheduled strategy"),
+    "rho": (_TRAIN["rho"], float, "per-epoch lam decay of the scheduled strategy, in (0, 1)"),
     # grid search
     "lr_grid": (trainer.DEFAULT_LR_GRID, _floats, "learning-rate grid"),
     "a_grid": (trainer.DEFAULT_A_GRID, _floats, "penalty-weight grid"),
@@ -246,24 +248,11 @@ def _load_datasets(cfg: dict):
 
 def _train_config(cfg: dict, strategy=None) -> TrainConfig:
     """The run's TrainConfig, which validates itself: built before any data
-    loads, so a bad value is named first."""
-    strategy = strategy or cfg["strategy"]
-    lambda_lr = cfg["lambda_lr"]
-    return TrainConfig(
-        strategy=strategy,
-        learning_rate=cfg["learning_rate"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        layer_dims=cfg["net"],
-        activation=cfg["activation"],
-        lambda_lr=lambda_lr if strategy == "anrat" and lambda_lr != "auto" else None,
-        lambda0=cfg["lambda0"],
-        p=cfg["p"],
-        a=cfg["a"],
-        q=cfg["q"],
-        rho=cfg["rho"] if strategy == "scheduled" else None,
-        seed=cfg["seed"],
-    )
+    loads, so a bad value is named first.  Each field is passed as its key
+    gives it (layer_dims is `net`; lambda_lr `auto` is None)."""
+    fields = {name: cfg[name] for name in _TRAIN if name != "layer_dims"}
+    return TrainConfig(**{**fields, "strategy": strategy or cfg["strategy"], "layer_dims": cfg["net"],
+                          "lambda_lr": None if cfg["lambda_lr"] == "auto" else cfg["lambda_lr"]})
 
 
 def cmd_fetch(cfg: dict) -> int:

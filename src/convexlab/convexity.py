@@ -177,7 +177,7 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
     `fd_gradient` call gives the per-sample gradients g_i, and the
     Gauss-Newton term s_k * sum_i w_ki g_i g_i^T (s_0 = 0) completes each
     Hessian.  lams must be strictly ascending, each one (with p) a valid
-    `CriterionParams`, and box_radius positive and finite.
+    `CriterionParams`, and box_radius positive with 2 * box_radius finite.
     """
     n = model_template.param_count
     if n > MAX_SCAN_PARAMS:
@@ -192,8 +192,9 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
     params = [CriterionParams(lam, p) for lam in lam_list]
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
-    if not (np.isfinite(box_radius) and box_radius > 0):
-        raise ValueError(f"box_radius must be positive and finite, got {box_radius}")
+    if not (np.isfinite(2.0 * float(box_radius)) and box_radius > 0):
+        raise ValueError(f"box_radius must be positive and finite, as must 2 * box_radius, "
+                         f"got {box_radius}")
 
     points = rng_for(seed, "scan").uniform(-box_radius, box_radius, size=(num_points, n))
     # rows: the base criterion (s = 0, uniform weights), then one per lam

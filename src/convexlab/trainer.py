@@ -11,6 +11,12 @@ plus hold-out evaluation, grid search over (learning rate, penalty weight),
 and stagnancy detection on the validation loss over the last
 STAGNANCY_WINDOW epochs.
 
+`TrainConfig` checks every field by one rule whatever the strategy, and
+each strategy reads only its own (rho: scheduled; lambda_lr, a, q: anrat).
+`train` starts at lambda0 as given, so its one per-strategy rule is the lam
+floor (`LAMBDA_FLOORS`); from the default lambda0, `replace(config,
+strategy=s)` is valid for every s.
+
 One training run is a single sequential loop (SGD is order-dependent);
 grid-search runs are independent of each other and each owns its model.
 Every strategy steps through `sgd_step`; the criterion kind is resolved
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -56,6 +63,9 @@ from .seeds import epoch_seed
 # the epoch after its switch
 CRITERION_KINDS = {"ce": "ce", "nrae-fixed": "nrae", "scheduled": "nrae", "anrat": "anrat"}
 STRATEGIES = tuple(CRITERION_KINDS)
+
+# the lam floor of each strategy that moves lam; a lambda0 below it is refused
+LAMBDA_FLOORS = {"scheduled": 1.0, "anrat": LAMBDA_MIN}
 
 # the stagnancy verdict of every run (see detect_stagnancy)
 STAGNANCY_WINDOW = 5
@@ -90,12 +100,12 @@ class TrainConfig:
     batch_size: int
     layer_dims: tuple
     activation: str = "tanh"
-    lambda_lr: float | None = None  # anrat only; defaults to learning_rate
+    lambda_lr: float | None = None  # None: the learning rate
     lambda0: float = 10.0
     p: int = 1
     a: float = 0.1
     q: int = 1
-    rho: float | None = None  # scheduled only
+    rho: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
@@ -106,30 +116,25 @@ class TrainConfig:
             raise ValueError(f"unknown strategy {self.strategy!r} (expected one of {STRATEGIES})")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        for name in ("epochs", "batch_size", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         validate_net(self.layer_dims, self.activation)
         if not (np.isfinite(self.lambda0) and self.lambda0 > 0):
             raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
-        # p, and a and q where the strategy reads them, by the criterion's
-        # own rules: refused when the config is built, not at the first batch
-        a, q = self.penalty
-        CriterionParams(lam=self.lambda0, p=self.p, a=a, q=q)
-        if self.strategy == "scheduled":
-            if self.rho is None or not (0.0 < self.rho < 1.0):
-                raise ValueError("scheduled strategy requires a decay rho in (0, 1)")
-        elif self.rho is not None:
-            raise ValueError(f"rho is only meaningful for the scheduled strategy, not {self.strategy!r}")
-        if self.strategy != "anrat" and self.lambda_lr is not None:
-            raise ValueError(f"lambda_lr is only meaningful for the anrat strategy, not {self.strategy!r}")
+        if self.lambda0 < LAMBDA_FLOORS.get(self.strategy, 0.0):
+            raise ValueError(f"lambda0 must be >= {LAMBDA_FLOORS[self.strategy]:g}, the lam floor "
+                             f"of the {self.strategy} strategy, got {self.lambda0}")
+        # p, a and q by the criterion's own rules: refused when the config
+        # is built, not at the first batch
+        CriterionParams(lam=self.lambda0, p=self.p, a=self.a, q=self.q)
+        if not 0.0 < self.rho < 1.0:
+            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
         if self.lambda_lr is not None and not (np.isfinite(self.lambda_lr) and self.lambda_lr > 0):
             raise ValueError(f"lambda_lr must be positive and finite, got {self.lambda_lr}")
         return self
-
-    @property
-    def penalty(self) -> tuple:
-        """(a, q) of the criterion: the a*lam**(-q) penalty enters anrat only."""
-        return (self.a, self.q) if self.strategy == "anrat" else (0.0, 1)
 
     @property
     def effective_lambda_lr(self) -> float:
@@ -199,8 +204,11 @@ def anrat_lambda_step(lam: float, lambda_grad: float, lambda_lr: float) -> float
     lam is clamped to LAMBDA_MIN and its step is limited to halving or
     doubling: the penalty a*lam**(-q) is a barrier whose gradient blows up
     like lam**(-q-1) near the floor, and an unclamped explicit step there
-    would catapult lam upward by orders of magnitude in one update.
+    would catapult lam upward by orders of magnitude in one update.  A
+    non-finite lambda_grad is NumericDomainError, not a clamped step.
     """
+    if not np.isfinite(lambda_grad):
+        raise NumericDomainError(f"lam gradient {lambda_grad}")
     new_lam = lam - lambda_lr * lambda_grad
     return max(LAMBDA_MIN, min(max(new_lam, 0.5 * lam), 2.0 * lam))
 
@@ -213,7 +221,7 @@ def scheduled_update(lam: float, switched: bool, max_loss: float, rho: float,
     logged criterion only; the steps stay those of nrae."""
     if switched:
         return lam, True
-    lam = max(lam * rho, 1.0)
+    lam = max(lam * rho, LAMBDA_FLOORS["scheduled"])
     return lam, lam**p * max_loss <= EXP_CAP
 
 
@@ -259,9 +267,8 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
     mode = output_mode_for(train_set, config.layer_dims[-1])
     model = init_model(config.layer_dims, config.activation, mode, config.seed)
     _check_fits(model, val_set)
-    lam = max(config.lambda0, LAMBDA_MIN)
+    lam = config.lambda0
     lam_lr = config.effective_lambda_lr
-    a, q = config.penalty
     switched = False
     records = []
     best_epoch = -1
@@ -277,7 +284,7 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
         with np.errstate(over="raise", invalid="raise"):
             for bi, batch in enumerate(batches(train_set, config.batch_size, epoch_seed(config.seed, ep))):
                 try:
-                    params = CriterionParams(lam=lam, p=config.p, a=a, q=q)
+                    params = CriterionParams(lam=lam, p=config.p, a=config.a, q=config.q)
                     model, report = sgd_step(model, batch, kind, params, config.learning_rate)
                     if kind == "anrat":
                         lam = anrat_lambda_step(lam, report.lambda_grad, lam_lr)
@@ -344,7 +351,7 @@ def grid_configs(base_config: TrainConfig, lr_grid=DEFAULT_LR_GRID,
     is refused before any point trains."""
     if not lr_grid or not a_grid:
         raise ValueError("grids must be non-empty")
-    return [replace(base_config, strategy="anrat", learning_rate=lr, a=a, rho=None)
+    return [replace(base_config, strategy="anrat", learning_rate=lr, a=a)
             for lr in lr_grid for a in a_grid]
 
 

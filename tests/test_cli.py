@@ -182,7 +182,7 @@ class TestConfigParsing:
             "gc_cases": gradcheck.DEFAULT_CASES, "gc_tolerance": gradcheck.TOL_WEIGHTS,
             "gc_tolerance_lambda": gradcheck.TOL_LAMBDA,
             "activation": fields["activation"], "lambda0": fields["lambda0"], "p": fields["p"],
-            "a": fields["a"], "q": fields["q"],
+            "a": fields["a"], "q": fields["q"], "rho": fields["rho"],
             "scan_samples": convexity.SCAN_SAMPLES, "target_scale": convexity.TARGET_SCALE,
         }
         for key, value in shared.items():
@@ -362,7 +362,8 @@ class TestDatasets:
 
 
 class TestCriterionValues:
-    """p, a and q are checked by the criterion's rules before any data loads."""
+    """Every training key is checked by one rule, whatever the strategy,
+    before any data loads."""
 
     SINE = ["--set", "dataset=sine", "--set", "net=1,4,1", "--set", "train_count=20",
             "--set", "val_count=5", "--set", "test_count=5", "--set", "epochs=1"]
@@ -383,9 +384,17 @@ class TestCriterionValues:
         (["train", "--strategy", "anrat", "--set", "lambda_lr=inf"], "lambda_lr"),
         (["train", "--strategy", "anrat", "--set", "lambda_lr=nan"], "lambda_lr"),
         (["gridsearch", "--set", "lr_grid=0.1,nan"], "learning_rate"),
+        # every key by one rule, whether or not the strategy reads it
+        (["train", "--strategy", "ce", "--set", "a=-1"], "a"),
+        (["train", "--strategy", "nrae-fixed", "--set", "rho=2"], "rho"),
+        (["train", "--strategy", "ce", "--set", "lambda_lr=0"], "lambda_lr"),
+        # lambda0 below the strategy's lam floor, not raised to it
+        (["train", "--strategy", "scheduled", "--set", "lambda0=0.5"], "lambda0"),
+        (["train", "--strategy", "anrat", "--set", "lambda0=1e-4"], "lambda0"),
     ], ids=["ce-p", "anrat-a", "anrat-q", "grid-q", "grid-a-point", "grid-p",
             "ce-net", "ce-activation", "grid-net", "grid-activation", "ce-lr-nan", "ce-lr-inf",
-            "anrat-lambda-lr-inf", "anrat-lambda-lr-nan", "grid-lr-point-nan"])
+            "anrat-lambda-lr-inf", "anrat-lambda-lr-nan", "grid-lr-point-nan",
+            "ce-a", "nrae-rho", "ce-lambda-lr", "scheduled-lambda0", "anrat-lambda0"])
     def test_bad_value_exit_1_before_data(self, tmp_path, capsys, monkeypatch, argv, key):
         loads = []
         monkeypatch.setattr(cli, "_load_datasets", lambda cfg: loads.append(cfg))
@@ -395,13 +404,6 @@ class TestCriterionValues:
         assert re.search(rf"\b{key} must be", capsys.readouterr().err)
         assert loads == []
         assert not (out / "run.resolved.cfg").exists()
-
-    def test_ce_ignores_penalty_values(self, tmp_path):
-        # ce never reads a or q
-        out = tmp_path / "out"
-        assert run(["train", "--strategy", "ce", "--set", "a=-1", "--set", "q=0",
-                    "--out", out] + self.SINE) == EXIT_OK
-        assert (out / "run.metrics.csv").exists()
 
 
 class TestEvalCommand:
@@ -617,9 +619,10 @@ class TestScanCommand:
         (["--net", "1,3,1", "--box-radius", "nan"], "box_radius must be positive and finite"),
         (["--net", "1,3,1", "--box-radius", "inf"], "box_radius must be positive and finite"),
         (["--net", "1,3,1", "--box-radius", "-1"], "box_radius must be positive and finite"),
+        (["--net", "1,3,1", "--points", "1", "--box-radius", "1e308"], "as must 2 * box_radius"),
     ], ids=["no-points", "descending", "relu", "deep-net", "default-net", "zero-lambda",
             "negative-lambda", "nan-lambda", "inf-lambda", "zero-p", "nan-box", "inf-box",
-            "negative-box"])
+            "negative-box", "huge-box"])
     def test_refused_scan_writes_no_resolved_config(self, tmp_path, capsys, args, named):
         out = tmp_path / "out"
         assert run(["scan", "--out", out] + args) == EXIT_CONFIG

@@ -213,7 +213,8 @@ class TestScan:
                 ([1, 2], 1, float("nan"), "box_radius must be positive and finite"),
                 ([1, 2], 1, float("inf"), "box_radius must be positive and finite"),
                 ([1, 2], 1, -1.0, "box_radius must be positive and finite"),
-                ([1, 2], 1, 0.0, "box_radius must be positive and finite")):
+                ([1, 2], 1, 0.0, "box_radius must be positive and finite"),
+                ([1, 2], 1, 1e308, "as must 2 \\* box_radius, got 1e\\+308")):
             with pytest.raises(ValueError, match=named):
                 scan_convexity(template, ds, lambdas, num_points=2, box_radius=radius, seed=0, p=p)
         assert draws == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import convexlab.trainer as trainer
-from convexlab.criteria import LAMBDA_MIN, CriterionParams, sample_weights
+from convexlab.criteria import LAMBDA_MIN, CriterionParams, NumericDomainError, sample_weights
 from convexlab.data import SampleBatch, synthetic_blobs, synthetic_regression
 from convexlab.network import batch_losses, forward, init_model, weighted_backward
 from convexlab.trainer import (
@@ -138,6 +138,25 @@ class TestAnratStep:
         assert anrat_lambda_step(1.0, 10.0, 1.0) == 0.5  # at most halved
         assert anrat_lambda_step(1.0, -10.0, 1.0) == 2.0  # at most doubled
         assert anrat_lambda_step(LAMBDA_MIN, 1.0, 1.0) == LAMBDA_MIN  # floored
+
+    @pytest.mark.parametrize("grad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lambda_gradient_refused(self, grad):
+        with pytest.raises(NumericDomainError, match=rf"lam gradient {grad}"):
+            anrat_lambda_step(1.0, grad, 1.0)
+
+    def test_non_finite_lambda_gradient_is_divergence(self, monkeypatch):
+        real = trainer.evaluate_criterion
+
+        def nan_grad(losses, kind, params):
+            return replace(real(losses, kind, params), lambda_grad=float("nan"))
+
+        monkeypatch.setattr(trainer, "evaluate_criterion", nan_grad)
+        full = synthetic_regression("sine", 40, 0.0, seed=0)
+        cfg = TrainConfig(strategy="anrat", learning_rate=0.1, epochs=1, batch_size=10,
+                          layer_dims=(1, 4, 1), seed=0)
+        with pytest.raises(DivergedError, match="lam gradient nan") as exc:
+            train(cfg, full, full)
+        assert (exc.value.epoch, exc.value.batch_index) == (0, 0)
 
     def test_update_sign_matches_gradient(self):
         model, batch = small_batch(seed=8)
@@ -365,12 +384,10 @@ class TestTrainLoop:
         # a config validates itself when built, and on request
         with pytest.raises(ValueError):
             TrainConfig(strategy="sgd", **good)
-        with pytest.raises(ValueError):
-            TrainConfig(strategy="scheduled", **good)  # rho missing
-        with pytest.raises(ValueError):
-            TrainConfig(strategy="ce", rho=0.8, **good)
-        with pytest.raises(ValueError):
-            TrainConfig(strategy="ce", lambda_lr=0.1, **good)
+        # rho has its default for every strategy, and one rule
+        assert TrainConfig(strategy="scheduled", **good).rho == 0.8
+        with pytest.raises(ValueError, match="rho must be in"):
+            TrainConfig(strategy="ce", rho=1.0, **good)
         cfg = TrainConfig(strategy="anrat", **good)
         assert cfg.validate() is cfg
         assert cfg.effective_lambda_lr == pytest.approx(0.1)
@@ -379,11 +396,13 @@ class TestTrainLoop:
     @pytest.mark.parametrize("strategy, field, value", [
         ("ce", "p", 0), ("anrat", "p", 2.5), ("anrat", "a", -1.0), ("anrat", "a", np.nan),
         ("anrat", "q", 0), ("ce", "lambda0", np.inf), ("ce", "lambda0", np.nan),
+        ("scheduled", "lambda0", 0.5), ("anrat", "lambda0", LAMBDA_MIN / 10),
+        ("ce", "epochs", 2.5), ("ce", "epochs", 2.0), ("ce", "batch_size", 7.5), ("ce", "seed", 1.5),
     ])
     def test_criterion_values_refused(self, strategy, field, value):
         good = dict(learning_rate=0.1, epochs=1, batch_size=10, layer_dims=(4, 2))
         with pytest.raises(ValueError, match=rf"^{field} must be"):
-            TrainConfig(strategy=strategy, **good, **{field: value})
+            TrainConfig(strategy=strategy, **{**good, field: value})
 
     @pytest.mark.parametrize("field, value, named", [
         ("layer_dims", (1, 0, 1), "layer sizes must be >= 1"),
@@ -395,12 +414,71 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=named):
             TrainConfig(strategy="ce", **{**good, field: value})
 
-    def test_penalty_checked_for_anrat_only(self):
+    def test_penalty_checked_for_every_strategy(self):
+        # a and q, like rho and lambda_lr, have one rule whether or not the
+        # strategy reads them
         good = dict(learning_rate=0.1, epochs=1, batch_size=10, layer_dims=(4, 2))
-        for strategy in ("ce", "nrae-fixed"):
-            cfg = TrainConfig(strategy=strategy, a=-1.0, q=0, **good)
-            assert cfg.penalty == (0.0, 1)
-        assert TrainConfig(strategy="anrat", a=0.5, q=2, **good).penalty == (0.5, 2)
+        bad = [("a", -1.0), ("a", np.nan), ("q", 0), ("rho", 0.0), ("rho", 1.0), ("rho", np.nan),
+               ("lambda_lr", 0.0), ("lambda_lr", np.inf)]
+        for strategy in trainer.STRATEGIES:
+            for field, value in bad:
+                with pytest.raises(ValueError, match=rf"^{field} must be"):
+                    TrainConfig(strategy=strategy, **good, **{field: value})
+            cfg = TrainConfig(strategy=strategy, a=0.5, q=2, rho=0.5, lambda_lr=0.02, **good)
+            assert (cfg.a, cfg.q, cfg.rho, cfg.effective_lambda_lr) == (0.5, 2, 0.5, 0.02)
+
+    def test_nrae_fixed_trains_at_lambda0_as_given(self):
+        # no lam floor for a strategy that keeps lam fixed
+        full = synthetic_regression("sine", 40, 0.0, seed=0)
+        tr, va = full.take(range(30)), full.take(range(30, 40))
+        cfg = TrainConfig(strategy="nrae-fixed", learning_rate=0.1, epochs=2, batch_size=10,
+                          layer_dims=(1, 4, 1), lambda0=1e-4, seed=0)
+        rep = train(cfg, tr, va)
+        assert [r.lam for r in rep.records] == [1e-4, 1e-4]
+        assert rep.final_lambda == 1e-4
+
+    @pytest.mark.parametrize("source", trainer.STRATEGIES)
+    def test_replace_strategy_builds_for_every_pair(self, source):
+        # one base config serves every strategy of a comparison study
+        base = TrainConfig(strategy=source, learning_rate=0.1, epochs=1, batch_size=10,
+                           layer_dims=(4, 2), lambda0=100.0, lambda_lr=0.05)
+        for target in trainer.STRATEGIES:
+            cfg = replace(base, strategy=target)
+            assert (cfg.strategy, cfg.rho, cfg.lambda_lr) == (target, 0.8, 0.05)
+
+    # the records of a 2-epoch sine run of each strategy, pinned bit for bit:
+    # which settings a strategy reads changes no step of the others
+    # (train_criterion, train_ce, val_ce, val_error, lam, switched_to_rae)
+    PINNED_RECORDS = {
+        "ce": [(0.1690470661814139, 0.1690470661814139, 0.15063082449978532,
+                0.15063082449978532, 10.0, False),
+               (0.1724352151010617, 0.1724352151010617, 0.10875528889546553,
+                0.10875528889546553, 10.0, False)],
+        "nrae-fixed": [(1.5634645780479435, 0.7597336153363207, 0.35472651920378484,
+                        0.35472651920378484, 10.0, False),
+                       (0.2750513462353408, 0.17184003314894136, 0.10710462349915802,
+                        0.10710462349915802, 10.0, False)],
+        "scheduled": [(1.7523097947403248, 0.8276378953145016, 0.5493932649124846,
+                       0.5493932649124846, 80.0, True),
+                      (6.699868194745247e+44, 0.2706944188193418, 0.2601658012771137,
+                       0.2601658012771137, 80.0, True)],
+        "anrat": [(1.5734297574941856, 0.7597330970985687, 0.3547217853675456,
+                   0.3547217853675456, 9.993789833631828, False),
+                  (0.2849447180112244, 0.1718101258036431, 0.10705369636994069,
+                   0.10705369636994069, 9.990734052708579, False)],
+    }
+
+    @pytest.mark.parametrize("strategy", trainer.STRATEGIES)
+    def test_records_unchanged(self, strategy):
+        full = synthetic_regression("sine", 60, 0.0, seed=0)
+        tr, va = full.take(range(40)), full.take(range(40, 60))
+        cfg = TrainConfig(strategy=strategy, learning_rate=0.1, epochs=2, batch_size=10,
+                          layer_dims=(1, 6, 1), seed=0,
+                          lambda0=100.0 if strategy == "scheduled" else 10.0)
+        rep = train(cfg, tr, va)
+        got = [(r.train_criterion, r.train_ce, r.val_ce, r.val_error, r.lam, r.switched_to_rae)
+               for r in rep.records]
+        assert got == self.PINNED_RECORDS[strategy]
 
 
 class TestIntegrationSurrogate:
