@@ -30,6 +30,7 @@ import numpy as np
 
 from . import convexity, gradcheck, trainer
 from .convexity import scan_convexity, scan_problem, write_scan_csvs
+from .criteria import NumericDomainError
 from .data import (
     DEFAULT_MNIST_URL,
     IdxFormatError,
@@ -426,7 +427,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, NumericDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

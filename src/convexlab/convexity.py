@@ -1,7 +1,7 @@
 """Empirical convexity-region measurement for tiny models: central
-finite-difference Hessians over the flat parameter vector, a LAPACK
-eigensolve, and lam-sweep scans of the positive-semidefinite fraction over
-sampled points in weight space.
+finite-difference Hessians over the flat parameter vector (from the FD
+oracles in `gradcheck`), a LAPACK eigensolve, and lam-sweep scans of the
+positive-semidefinite fraction over sampled points in weight space.
 
 The Hessian of the raw criterion rae(c) = mean(exp(s * c)), s = lam**p,
 factors exactly as
@@ -11,14 +11,13 @@ factors exactly as
 with g_i and H_i the gradient and Hessian of the per-sample loss c_i.  The
 scan takes the bracket, which has the same PSD verdict: its entries are
 bounded by s * max|g_i|^2 + max|H_i|, and nothing past the softmax is
-exponentiated, so no lam can overflow.
+exponentiated.  A non-finite loss, probe or Hessian stops the scan.
 
 Scans are restricted to smooth activations (tanh, sigmoid): relu kinks sit
 on measure-zero sets that finite differences straddle.  Each point's
 Hessians (base criterion and every lam) come from one FD pass, independent
-of the other points; the scan assembles results single-threaded.  Any
-positive finite lam scans, below 1 too, by `CriterionParams`' rule.
-`scan_problem` is the one builder of the scan's problems.
+of the other points; the scan assembles results single-threaded.  It takes
+any lam that `CriterionParams` takes; `scan_problem` builds its problems.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 from .criteria import EXP_CAP, CriterionParams, NumericDomainError, sample_weights
 from .data import SampleBatch, synthetic_regression
-from .gradcheck import fd_gradient
+from .gradcheck import DEFAULT_FD_STEP, fd_gradient, fd_hessian
 from .network import (
     MlpModel,
     _param_count,
@@ -41,9 +40,7 @@ from .network import (
 )
 from .seeds import rng_for
 
-MAX_HESSIAN_DIM = 200
 MAX_SCAN_PARAMS = 60
-DEFAULT_FD_STEP = 1e-4
 SMOOTH_ACTIVATIONS = ("tanh", "sigmoid")
 SCAN_PRESETS = ("", "logistic")
 # the scan problem's sine sample count and target amplitude: larger targets
@@ -96,48 +93,6 @@ class RegionScan:
         return np.array([int(np.sum(self.ce_psd & ~self.psd[i])) for i in range(len(self.lambdas))])
 
 
-def _probe(objective, x):
-    val = np.asarray(objective(x), dtype=float)
-    if not np.all(np.isfinite(val)):
-        raise NumericDomainError(f"objective returned {val} at probe point {x!r}")
-    return val
-
-
-def fd_hessian(objective, point, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central second differences of an objective, symmetrized.
-
-    The objective returns a scalar, giving an (n, n) Hessian, or a vector of
-    K values, giving the (K, n, n) stack of their Hessians from one pass of
-    probes.  Per-coordinate steps h_i = h * (1 + |x_i|) balance curvature
-    against round-off.  Any non-finite objective value aborts with the probe
-    point.
-    """
-    x = np.asarray(point, dtype=float)
-    n = x.size
-    if n > MAX_HESSIAN_DIM:
-        raise ValueError(f"{n} parameters exceeds the desk-scale guard of {MAX_HESSIAN_DIM}")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    steps = h * (1.0 + np.abs(x))
-    f0 = _probe(objective, x)
-    hess = np.empty(f0.shape + (n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = steps[i]
-        fpp = _probe(objective, x + 2.0 * ei)
-        fmm = _probe(objective, x - 2.0 * ei)
-        hess[..., i, i] = (fpp - 2.0 * f0 + fmm) / (4.0 * steps[i] ** 2)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = steps[j]
-            fpq = _probe(objective, x + ei + ej)
-            fpm = _probe(objective, x + ei - ej)
-            fmp = _probe(objective, x - ei + ej)
-            fmq = _probe(objective, x - ei - ej)
-            hess[..., i, j] = hess[..., j, i] = (fpq - fpm - fmp + fmq) / (4.0 * steps[i] * steps[j])
-    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
-
-
 def scan_problem(net, activation: str = "tanh", samples: int = SCAN_SAMPLES,
                  target_scale: float = TARGET_SCALE, noise_sd: float = 0.0, seed: int = 0,
                  preset: str = "") -> tuple:
@@ -185,10 +140,8 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
     if model_template.activation not in SMOOTH_ACTIVATIONS:
         raise ValueError(f"scan requires a smooth activation, got {model_template.activation!r}")
     lam_list = [float(v) for v in lambdas]
-    if not lam_list:
-        raise ValueError("lambdas must be non-empty")
-    if any(b <= a for a, b in zip(lam_list, lam_list[1:])):
-        raise ValueError(f"lambdas must be strictly ascending, got {lam_list}")
+    if not lam_list or any(b <= a for a, b in zip(lam_list, lam_list[1:])):
+        raise ValueError(f"lambdas must be non-empty and strictly ascending, got {lam_list}")
     params = [CriterionParams(lam, p) for lam in lam_list]
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
@@ -207,16 +160,22 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
         cache = forward(unflatten(model_template, vec), dataset.inputs)
         return batch_losses(cache.outputs, dataset.targets, model_template.output_mode)
 
-    for j, x in enumerate(points):
-        c0 = losses(x)
-        weights = np.array([np.full(c0.size, 1.0 / c0.size)]
-                           + [sample_weights(c0, pr) for pr in params])
-        grads = fd_gradient(losses, x)
-        hess = fd_hessian(lambda v: weights @ losses(v), x, h)
-        hess += np.einsum("km,mi,mj->kij", scales[:, None] * weights, grads, grads)
-        min_eigs[:, j] = np.linalg.eigvalsh(hess)[:, 0]
-        tols[:, j] = psd_tolerance(hess)
-        used_nrae[:, j] = scales[1:] * c0.max() > EXP_CAP
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        for j, x in enumerate(points):
+            try:
+                c0 = losses(x)
+                weights = np.array([np.full(c0.size, 1.0 / c0.size)]
+                                   + [sample_weights(c0, pr) for pr in params])
+                grads = fd_gradient(losses, x)
+                hess = fd_hessian(lambda v: weights @ losses(v), x, h)
+                hess += np.einsum("km,mi,mj->kij", scales[:, None] * weights, grads, grads)
+                if not np.all(np.isfinite(hess)):  # eigvalsh would read NaN as a verdict
+                    raise NumericDomainError("non-finite Hessian")
+            except NumericDomainError as e:
+                raise NumericDomainError(f"point {j}, box_radius {box_radius}, lambdas {lam_list}: {e}")
+            min_eigs[:, j] = np.linalg.eigvalsh(hess)[:, 0]
+            tols[:, j] = psd_tolerance(hess)
+            used_nrae[:, j] = scales[1:] * c0.max() > EXP_CAP
     psd = min_eigs >= -tols
 
     return RegionScan(

@@ -23,13 +23,14 @@ oracles and the convexity scan.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-# Training-state floor for lam.  The pure functions below accept any lam > 0
-# (the small-lam limit is itself a tested property); the trainer clamps its
-# lam state to this floor after every update.
+# Training-state floor for lam.  The pure functions below accept any lam that
+# CriterionParams takes (the small-lam limit is itself a tested property);
+# the trainer clamps its lam state to this floor after every update.
 LAMBDA_MIN = 1e-3
 
 # Feasibility cap for the raw exponential criterion: exp(500) ~ 7e216 leaves
@@ -49,7 +50,10 @@ class NumericDomainError(ArithmeticError):
 @dataclass(frozen=True)
 class CriterionParams:
     """Scalar state of the convexified criteria: lam applied as lam**p,
-    plus the penalty weight a and penalty index q of the adaptive loss."""
+    plus the penalty weight a and penalty index q of the adaptive loss.
+    The one owner of lam's powers, stored when built: `scale` = lam**p, and
+    `lam_neg_q`, `lam_neg_q1` = lam**(-q), lam**(-q-1).  NumericDomainError
+    unless lam**p is a normal double and lam**(-q-1) finite (q = 1: lam > ~7.5e-155)."""
 
     lam: float
     p: int = 1
@@ -65,11 +69,14 @@ class CriterionParams:
             raise ValueError(f"q must be an integer >= 1, got {self.q}")
         if not (np.isfinite(self.a) and self.a >= 0.0):
             raise ValueError(f"a must be >= 0, got {self.a}")
-
-    @property
-    def scale(self) -> float:
-        """lam**p, the factor multiplying every per-sample loss."""
-        return float(self.lam) ** int(self.p)
+        try:  # lam**p, then the penalty's lam**(-q) and its derivative's lam**(-q-1)
+            powers = tuple(float(self.lam) ** k for k in (int(self.p), -int(self.q), -int(self.q) - 1))
+        except OverflowError:
+            powers = (np.inf,) * 3
+        if not sys.float_info.min <= powers[0] < np.inf:
+            raise NumericDomainError(f"lam={self.lam} (p={self.p}, q={self.q}) puts lam**p or "
+                                     "lam**(-q-1) out of double range")
+        self.__dict__.update(zip(("scale", "lam_neg_q", "lam_neg_q1"), powers))
 
 
 @dataclass
@@ -152,7 +159,7 @@ def _grad_lambda(c, params: CriterionParams, w, nrae_value: float) -> float:
                + float(d.mean()) - float(np.log1p(ubar)) / s)
     else:
         gap = float(np.dot(w, c)) - nrae_value
-    return (p / lam) * gap - a * q * lam ** (-q - 1)
+    return (p / lam) * gap - a * q * params.lam_neg_q1
 
 
 def nrae(losses, params: CriterionParams) -> float | np.ndarray:
@@ -207,6 +214,6 @@ def evaluate_criterion(losses, kind: str, params: CriterionParams) -> LossReport
     value = float(_nrae_rows(c[None, :], s)[0])
     if kind == "nrae":
         return LossReport(value, ce, w, max_loss=cmax)
-    penalty = params.a * float(params.lam) ** (-params.q)
+    penalty = params.a * params.lam_neg_q
     return LossReport(value + penalty, ce, w,
                       lambda_grad=_grad_lambda(c, params, w, value), max_loss=cmax)

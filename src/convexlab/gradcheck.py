@@ -1,6 +1,6 @@
-"""Finite-difference verification of the analytic derivatives.
-
-Two suites over randomized (model, batch, criterion) configurations:
+"""Finite-difference oracles (the convexity scan's `fd_hessian` too), and
+two suites verifying the analytic derivatives against them over randomized
+(model, batch, criterion) configurations:
 
   * weight gradient: the single weighted backward pass sum_i w_i grad(c_i)
     against central differences of the composed objective
@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .criteria import CriterionParams, evaluate_criterion, nrae
+from .criteria import CriterionParams, NumericDomainError, evaluate_criterion, nrae
 from .data import SampleBatch
 from .network import batch_losses, forward, init_model, weighted_backward
 from .seeds import rng_for
@@ -55,6 +55,8 @@ TOL_LAMBDA = 1e-6
 # the stacked forward pass behind it.
 FD_BLOCK = 64
 FD_STEP = 1e-6  # weight-gradient oracle's step
+DEFAULT_FD_STEP = 1e-4  # fd_hessian's base step
+MAX_HESSIAN_DIM = 200  # fd_hessian's guard on the parameter count
 LAMBDA_FD_STEP = 1e-3  # lam oracle's coarse step, relative to lam
 # output mode -> output dim choices, in the order a sweep cycles through them
 OUTPUT_DIMS = {"softmax-ce": (2, 3), "sigmoid-binary-ce": (1,), "identity-squared": (1, 2)}
@@ -95,6 +97,27 @@ class GradCheckSummary:
                 and self.max_lambda_rel_err < self.tol_lambda)
 
 
+def _check_point(x, h: float) -> np.ndarray:
+    """x as a float array: a non-empty 1-D vector, with h positive and finite."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"x must be a non-empty flat parameter vector, got shape {x.shape}")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"h must be positive and finite, got {h}")
+    return x
+
+
+def _probe(objective, x) -> np.ndarray:
+    """The objective at x, a point or a (K, n) stack; a non-finite value aborts, naming its probe."""
+    val = np.asarray(objective(x), dtype=float)
+    if not np.isfinite(val).all():  # the method: np.all's wrapper costs as much again
+        if x.ndim == 2 and val.ndim and len(val) == len(x):  # the first bad row of a stack
+            k = int(np.argmin(np.isfinite(val.reshape(len(val), -1)).all(axis=1)))
+            val, x = val[k], x[k]
+        raise NumericDomainError(f"objective returned {val.tolist()} at probe point {x.tolist()}")
+    return val
+
+
 def fd_gradient(objective, x, h: float = FD_STEP) -> np.ndarray:
     """Central difference quotient per coordinate of a stacked objective.
 
@@ -105,11 +128,7 @@ def fd_gradient(objective, x, h: float = FD_STEP) -> np.ndarray:
     coordinates, one call per block on a (2 * block, n) stack: the plus
     probes of the block in coordinate order, then the minus probes.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"x must be a non-empty flat parameter vector, got shape {x.shape}")
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"h must be positive and finite, got {h}")
+    x = _check_point(x, h)
     grad = None
     for lo in range(0, x.size, FD_BLOCK):
         coords = np.arange(lo, min(lo + FD_BLOCK, x.size))
@@ -117,13 +136,40 @@ def fd_gradient(objective, x, h: float = FD_STEP) -> np.ndarray:
         probes = np.repeat(x[None, :], 2 * k, axis=0)
         probes[np.arange(k), coords] += h
         probes[np.arange(k, 2 * k), coords] -= h
-        values = np.asarray(objective(probes), dtype=float)
+        values = _probe(objective, probes)
         if grad is None and values.ndim in (1, 2):
             grad = np.empty(values.shape[1:] + x.shape)
         if grad is None or values.shape != (2 * k,) + grad.shape[:-1]:
             raise ValueError(f"stacked objective returned shape {values.shape} for {2 * k} probes")
         grad[..., coords] = ((values[:k] - values[k:]) / (2.0 * h)).T
     return grad
+
+
+def fd_hessian(objective, point, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central second differences of an objective, symmetrized.
+
+    The objective returns a scalar, giving an (n, n) Hessian, or a vector of
+    K values, giving the (K, n, n) stack of their Hessians from one pass of
+    probes.  Per-coordinate steps h_i = h * (1 + |x_i|) balance curvature
+    against round-off.
+    """
+    x = _check_point(point, h)
+    if (n := x.size) > MAX_HESSIAN_DIM:
+        raise ValueError(f"{n} parameters exceeds the desk-scale guard of {MAX_HESSIAN_DIM}")
+    e = np.diag(h * (1.0 + np.abs(x)))  # e[i]: the step along coordinate i
+    f0 = _probe(objective, x)
+    hess = np.empty(f0.shape + (n, n))
+    for i, ei in enumerate(e):
+        fpp = _probe(objective, x + 2.0 * ei)
+        fmm = _probe(objective, x - 2.0 * ei)
+        hess[..., i, i] = (fpp - 2.0 * f0 + fmm) / (4.0 * e[i, i] ** 2)
+        for j in range(i + 1, n):
+            fpq = _probe(objective, x + ei + e[j])
+            fpm = _probe(objective, x + ei - e[j])
+            fmp = _probe(objective, x - ei + e[j])
+            fmq = _probe(objective, x - ei - e[j])
+            hess[..., i, j] = hess[..., j, i] = (fpq - fpm - fmp + fmq) / (4.0 * e[i, i] * e[j, j])
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
 def _anrat_minus_mean_longdouble(d, lam, params: CriterionParams):

@@ -4,9 +4,9 @@ weighted backward pass returning the flat gradient sum_i w_i * grad(c_i).
 A model owns one parameter buffer `theta`, whose layout is frozen for the
 whole package: layer-major, and within a layer the weight matrix in
 row-major order followed by the bias vector.  `weights[k]` and `biases[k]`
-are views of `theta`, so the flat vector is always `model.theta` and there
-is no separate flatten step.  `unflatten`, the gradient of
-`weighted_backward` and the text serialization all use this order.
+are views of `theta`, so the flat vector is always `model.theta`.  Building
+any model walks this layout, which refuses any other length of theta, and
+`unflatten`, `weighted_backward`'s gradient and the serialization use it.
 
 `unflatten` also takes a (K, n) stack of parameter vectors and returns a
 stacked model of K networks: `theta` (K, n), weights (K, d_out, d_in),
@@ -70,17 +70,22 @@ class ModelFormatError(ValueError):
 
 
 def _layer_views(flat, layer_dims) -> tuple:
-    """(weights, biases): per-layer views of a (..., n) parameter array in the
-    frozen layout, weights[k] (..., d_{k+1}, d_k) and biases[k] (..., d_{k+1})."""
+    """(weights, biases): views of an (n,) or (K, n) parameter array in the frozen layout,
+    weights[k] (..., d_{k+1}, d_k) and biases[k] (..., d_{k+1}); any other shape is refused."""
     lead = flat.shape[:-1]
-    weights, biases = [], []
-    pos = 0
-    for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
-        end = pos + d_out * d_in
-        weights.append(flat[..., pos:end].reshape(*lead, d_out, d_in))
-        biases.append(flat[..., end:end + d_out])
-        pos = end + d_out
-    return weights, biases
+    weights, biases, pos = [], [], 0
+    try:
+        for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
+            end = pos + d_out * d_in
+            weights.append(flat[..., pos:end].reshape(*lead, d_out, d_in))
+            biases.append(flat[..., end:end + d_out])
+            pos = end + d_out
+    except (IndexError, ValueError):  # a 0-d array, or a slice short of its layer's shape
+        pos = -1
+    if flat.ndim in (1, 2) and flat.shape[-1] == pos:
+        return weights, biases
+    n = _param_count(layer_dims)
+    raise ValueError(f"parameter vector must have length {n} (or be a (K, {n}) stack), got {flat.shape}")
 
 
 @dataclass
@@ -303,13 +308,8 @@ def weighted_backward(model: MlpModel, batch, weights, cache: ForwardCache | Non
 
 
 def unflatten(model: MlpModel, vector) -> MlpModel:
-    """New model with the same shape tags and parameters taken from `vector`,
-    or a stacked model of K networks from a (K, n) stack of vectors."""
-    v = np.array(vector, dtype=float)  # a private copy: the new model's theta
-    n = model.param_count
-    if v.ndim not in (1, 2) or v.shape[-1] != n:
-        raise ValueError(f"parameter vector must have length {n} (or be a (K, {n}) stack), got {v.shape}")
-    return replace(model, theta=v)
+    """New model with a private copy of `vector` as theta: (n,), or (K, n) for K networks."""
+    return replace(model, theta=np.array(vector, dtype=float))
 
 
 def serialize_model(model: MlpModel) -> str:

@@ -10,6 +10,8 @@ import numpy as np
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
     """Generator for the (seed, label) substream.  Same pair, same stream."""
+    if int(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(
         np.random.SeedSequence([int(seed), zlib.crc32(label.encode("utf-8"))])
     )

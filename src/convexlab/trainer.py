@@ -116,11 +116,10 @@ class TrainConfig:
             raise ValueError(f"unknown strategy {self.strategy!r} (expected one of {STRATEGIES})")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        for name in ("epochs", "batch_size", "seed"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         validate_net(self.layer_dims, self.activation)
         if not (np.isfinite(self.lambda0) and self.lambda0 > 0):
             raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
@@ -222,7 +221,7 @@ def scheduled_update(lam: float, switched: bool, max_loss: float, rho: float,
     if switched:
         return lam, True
     lam = max(lam * rho, LAMBDA_FLOORS["scheduled"])
-    return lam, lam**p * max_loss <= EXP_CAP
+    return lam, CriterionParams(lam, p).scale * max_loss <= EXP_CAP
 
 
 def detect_stagnancy(vals, window: int = STAGNANCY_WINDOW,

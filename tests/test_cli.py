@@ -630,6 +630,47 @@ class TestScanCommand:
         assert not (out / "run.resolved.cfg").exists()
 
 
+class TestNumericRefusals:
+    """lam powers past double range, scan points whose losses, probes or
+    Hessians are not finite, and negative seeds: each is one `error:` line
+    and exit 1 from main(), with no run.resolved.cfg."""
+
+    SINE = ["--set", "dataset=sine", "--set", "net=1,4,1", "--set", "train_count=20",
+            "--set", "val_count=5", "--set", "test_count=5", "--set", "epochs=1", "--set", "batch_size=10"]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["train", "--strategy", "nrae-fixed", "--set", "lambda0=1e200", "--set", "p=2"],
+         "lam=1e+200 (p=2, q=1)"),
+        (["gradcheck", "--lambda", "1e200", "--p", "2", "--set", "gc_cases=2"], "lam=1e+200 (p=2, q=1)"),
+        (["gradcheck", "--lambda", "1e-200", "--p", "2", "--set", "gc_cases=2"], "lam=1e-200 (p=2, q=1)"),
+        (["gradcheck", "--lambda", "1e-200", "--p", "1", "--set", "gc_cases=2"], "lam=1e-200 (p=1, q=1)"),
+        (["scan", "--net", "1,3,1", "--lambdas", "1e200", "--set", "p=2"], "lam=1e+200 (p=2, q=1)"),
+        (["scan", "--net", "1,3,1", "--points", "1", "--box-radius", "1e300"],
+         "point 0, box_radius 1e+300, lambdas [1.0, 2.0, 4.0, 8.0]: losses contain non-finite entries"),
+        (["scan", "--net", "1,3,1", "--lambdas", "1,1e308", "--points", "3"],
+         "point 0, box_radius 1.0, lambdas [1.0, 1e+308]: objective returned"),
+        (["scan", "--net", "1,3,1", "--lambdas", "1,1e306", "--points", "20"],
+         "box_radius 1.0, lambdas [1.0, 1e+306]: non-finite Hessian"),
+        (["train", "--strategy", "ce", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["gradcheck", "--seed", "-1", "--set", "gc_cases=2"], "seed must be >= 0, got -1"),
+        (["scan", "--net", "1,3,1", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["train-lambda-overflow", "gradcheck-lambda-overflow", "gradcheck-lambda-underflow",
+            "gradcheck-penalty-overflow", "scan-lambda-overflow", "scan-huge-box", "scan-nan-weights",
+            "scan-inf-hessian", "train-negative-seed", "gradcheck-negative-seed", "scan-negative-seed"])
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, monkeypatch, argv, named):
+        loads = []
+        real_load = cli._load_datasets
+        monkeypatch.setattr(cli, "_load_datasets", lambda cfg: loads.append(cfg) or real_load(cfg))
+        out = tmp_path / "out"
+        extra = self.SINE if argv[0] == "train" else []
+        assert run(argv[:1] + extra + argv[1:] + ["--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and named in errors[0] and "Traceback" not in err
+        assert loads == []
+        assert not (out / "run.resolved.cfg").exists()
+
+
 class TestFetchCommand:
     def _stage_remote(self, tmp_path):
         remote = tmp_path / "remote"

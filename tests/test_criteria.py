@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -316,6 +318,44 @@ class TestParamsValidation:
             CriterionParams(lam=1.0, q=0)
         with pytest.raises(ValueError):
             CriterionParams(lam=1.0, a=-0.5)
+
+    # lam**p overflows; lam**p underflows to 0 or to a subnormal; lam**(-q-1) overflows
+    OUT_OF_RANGE = [(1e200, 2, 1), (1e154, 3, 1), (1e-200, 2, 1), (1e-160, 2, 1), (1e-200, 1, 1),
+                    (7.4e-155, 1, 1), (1e-110, 1, 2)]
+
+    @pytest.mark.parametrize("lam, p, q", OUT_OF_RANGE)
+    def test_powers_out_of_double_range_refused(self, lam, p, q):
+        with pytest.raises(NumericDomainError, match=re.escape(f"lam={lam} (p={p}, q={q})")):
+            CriterionParams(lam=lam, p=p, q=q)
+
+    @pytest.mark.parametrize("lam, p, q", [(7.6e-155, 1, 1), (1e154, 2, 1), (2e-103, 1, 2), (1.5e-154, 2, 1)])
+    def test_powers_at_the_edge_of_range_accepted(self, lam, p, q):
+        pr = CriterionParams(lam=lam, p=p, q=q)
+        assert np.isfinite(pr.scale) and pr.scale >= np.finfo(float).tiny and np.isfinite(pr.lam_neg_q1)
+
+    def test_powers_equal_the_inline_expressions_bit_for_bit(self):
+        # the expressions evaluate_criterion, _grad_lambda and scheduled_update
+        # used before the powers were stored
+        c = np.array([0.3, 1.7, 0.05, 2.2])
+        for lam in (1e-3, 0.037, 0.5, 1.0, 3.3, 10.0, 123.456, 1e5, 7.6e-155 * 3):
+            for p in (1, 2, 3):
+                for q in (1, 2, 3):
+                    try:
+                        pr = CriterionParams(lam=lam, p=p, a=0.1, q=q)
+                    except NumericDomainError:
+                        continue
+                    assert pr.scale.hex() == (float(lam) ** int(p)).hex()
+                    assert pr.lam_neg_q.hex() == (float(lam) ** (-q)).hex()
+                    assert pr.lam_neg_q1.hex() == (float(lam) ** (-q - 1)).hex()
+                    rep = evaluate_criterion(c, "anrat", pr)
+                    assert rep.criterion_value == nrae(c, pr) + 0.1 * float(lam) ** (-q)
+
+    def test_replace_recomputes_powers(self):
+        pr = replace(CriterionParams(lam=2.0, p=3, a=0.1, q=2), lam=5.0)
+        assert (pr.scale, pr.lam_neg_q, pr.lam_neg_q1) == (5.0 ** 3, 5.0 ** -2, 5.0 ** -3)
+        assert replace(pr, p=1).scale == 5.0
+        with pytest.raises(NumericDomainError):
+            replace(pr, lam=1e200)
 
     BAD_LOSSES = [
         # (losses, exception, message): non-finite is named before negative

@@ -5,6 +5,7 @@ derivative and its finite-difference oracle against an extended-precision
 reference."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 
 import convexlab.gradcheck as gradcheck
 from convexlab.criteria import CriterionParams, NumericDomainError, evaluate_criterion, nrae, sample_weights
+import convexlab
+import convexlab.convexity as convexity
 from convexlab.gradcheck import (
     DEFAULT_LAMBDAS,
     DEFAULT_PS,
@@ -186,6 +189,41 @@ class TestFdGradient:
         # h = 0 used to return 0/0 = NaN gradients
         with pytest.raises(ValueError, match="h must be positive and finite"):
             fd_gradient(lambda v: np.sum(v, axis=-1), np.ones(3), h)
+
+
+class TestOracleRules:
+    """fd_gradient and fd_hessian check x and h by one rule and every
+    objective value by one probe check, which names the first bad probe."""
+
+    def test_fd_gradient_refuses_an_inf_probe(self):
+        x, h = np.array([1.0, 0.0]), 1e-6
+        inf_past_one = lambda v: np.where(v[:, 0] > 1.0, np.inf, v.sum(axis=1))  # noqa: E731
+        # the plus probe along x_0 is the only inf one
+        with pytest.raises(NumericDomainError, match=re.escape(f"inf at probe point {[1.0 + h, 0.0]}")):
+            fd_gradient(inf_past_one, x, h)
+
+    def test_fd_gradient_names_the_first_bad_probe_of_a_stack(self):
+        def objective(stack):
+            values = np.stack([stack.sum(axis=1), stack[:, 0]], axis=-1)
+            values[[3, 1], [0, 1]] = [np.inf, np.nan]
+            return values
+
+        with pytest.raises(NumericDomainError) as info:
+            fd_gradient(objective, np.zeros(3), 0.5)
+        assert str(info.value) == "objective returned [0.5, nan] at probe point [0.0, 0.5, 0.0]"
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    def test_fd_hessian_refuses_bad_step(self, h):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            gradcheck.fd_hessian(lambda v: float(v @ v), np.ones(3), h)
+
+    def test_fd_hessian_refuses_a_non_vector_point(self):
+        with pytest.raises(ValueError, match="x must be a non-empty flat parameter vector"):
+            gradcheck.fd_hessian(lambda v: float(np.sum(v)), np.ones((2, 2)))
+
+    def test_one_fd_hessian(self):
+        assert convexity.fd_hessian is gradcheck.fd_hessian
+        assert convexlab.fd_hessian is gradcheck.fd_hessian
 
 
 def _two_pass_check_case(case, h=1e-6):

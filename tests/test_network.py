@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from convexlab.data import SampleBatch
 from convexlab.gradcheck import fd_gradient, rel_error
 from convexlab.network import (
     ACTIVATIONS,
+    MlpModel,
     ModelFormatError,
     _activate,
     _activate_grad,
@@ -384,6 +386,31 @@ class TestFlatten:
         m = init_model([2, 2], "tanh", "softmax-ce", seed=0)
         with pytest.raises(ValueError):
             unflatten(m, np.zeros(m.param_count - 1))
+
+
+class TestThetaLength:
+    """The layout owns theta's length: every way of building a model walks it
+    and refuses any other shape, naming n."""
+
+    @staticmethod
+    def _refused(n):
+        return pytest.raises(ValueError, match=rf"must have length {n} \(or be a \(K, {n}\) stack\)")
+
+    @pytest.mark.parametrize("shape", ["n-1", "n+1", "(2,5,n)", "short", "scalar"])
+    def test_replace_and_unflatten_refuse_other_shapes(self, shape):
+        m = init_model([1, 3, 1], "tanh", "identity-squared", seed=0)
+        n = m.param_count
+        theta = {"n-1": np.zeros(n - 1), "n+1": np.zeros(n + 1), "(2,5,n)": np.zeros((2, 5, n)),
+                 "short": np.zeros(3), "scalar": np.zeros(())}[shape]
+        with self._refused(n):
+            replace(m, theta=theta)
+        with self._refused(n):
+            unflatten(m, theta)
+
+    def test_constructor_refuses_a_long_vector(self):
+        n = 10  # 1-3-1
+        with self._refused(n):
+            MlpModel((1, 3, 1), "tanh", "identity-squared", np.zeros(n + 1))
 
 
 class TestParameterBuffer:

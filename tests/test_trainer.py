@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import convexlab.trainer as trainer
-from convexlab.criteria import LAMBDA_MIN, CriterionParams, NumericDomainError, sample_weights
+from convexlab.criteria import EXP_CAP, LAMBDA_MIN, CriterionParams, NumericDomainError, sample_weights
 from convexlab.data import SampleBatch, synthetic_blobs, synthetic_regression
-from convexlab.network import batch_losses, forward, init_model, weighted_backward
+from convexlab.network import MAX_CLAMPED_LOSS, batch_losses, forward, init_model, weighted_backward
+from convexlab.seeds import rng_for
 from convexlab.trainer import (
     DivergedError,
     NoViableModelError,
@@ -158,6 +159,16 @@ class TestAnratStep:
             train(cfg, full, full)
         assert (exc.value.epoch, exc.value.batch_index) == (0, 0)
 
+    def test_lambda_past_double_range_is_divergence(self, monkeypatch):
+        # lam**2 of 1e200 overflows: CriterionParams refuses it at the next batch
+        monkeypatch.setattr(trainer, "anrat_lambda_step", lambda lam, grad, lr: 1e200)
+        full = synthetic_regression("sine", 40, 0.0, seed=0)
+        cfg = TrainConfig(strategy="anrat", learning_rate=0.1, epochs=1, batch_size=10,
+                          layer_dims=(1, 4, 1), p=2, seed=0)
+        with pytest.raises(DivergedError, match=r"lam=1e\+200 \(p=2, q=1\)") as exc:
+            train(cfg, full, full)
+        assert (exc.value.epoch, exc.value.batch_index) == (0, 1)
+
     def test_update_sign_matches_gradient(self):
         model, batch = small_batch(seed=8)
         lam = 3.0
@@ -188,6 +199,25 @@ class TestScheduledUpdate:
     def test_floor_at_one(self):
         lam, _ = scheduled_update(1.1, False, max_loss=1e9, rho=0.5)
         assert lam == 1.0
+
+    @staticmethod
+    def _inline_rule(lam, switched, max_loss, rho, p=1):
+        # the rule as it was written before CriterionParams owned lam**p
+        if switched:
+            return lam, True
+        lam = max(lam * rho, 1.0)
+        return lam, lam**p * max_loss <= EXP_CAP
+
+    def test_equals_the_inline_rule_and_refuses_past_double_range(self):
+        for lam in (1.0, 1.3, 7.3, 31.25, 100.0, 625.0, 1e4, 1e6):
+            for max_loss in (0.0, 0.8, 5.0, 20.0, MAX_CLAMPED_LOSS, 1e3):
+                for rho in (0.5, 0.8, 0.99):
+                    for p in (1, 2, 3):
+                        for switched in (False, True):
+                            args = (lam, switched, max_loss, rho, p)
+                            assert scheduled_update(*args) == self._inline_rule(*args)
+        with pytest.raises(NumericDomainError, match="p=2"):
+            scheduled_update(1e200, False, 1.0, 0.9, p=2)
 
 
 class TestCriterionKinds:
@@ -224,6 +254,13 @@ class TestCriterionKinds:
         assert [r.switched_to_rae for r in report.records] == [True] * 3
         assert epochs[0] == ["nrae"] * len(epochs[0])
         assert all(k == "rae" for ep in epochs[1:] for k in ep)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, -2**40])
+    def test_negative_seed_refused_by_name(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be >= 0, got {seed}$"):
+            rng_for(seed, "init")
 
 
 class TestDetectStagnancy:
@@ -398,6 +435,7 @@ class TestTrainLoop:
         ("anrat", "q", 0), ("ce", "lambda0", np.inf), ("ce", "lambda0", np.nan),
         ("scheduled", "lambda0", 0.5), ("anrat", "lambda0", LAMBDA_MIN / 10),
         ("ce", "epochs", 2.5), ("ce", "epochs", 2.0), ("ce", "batch_size", 7.5), ("ce", "seed", 1.5),
+        ("ce", "seed", -1), ("anrat", "seed", -7),
     ])
     def test_criterion_values_refused(self, strategy, field, value):
         good = dict(learning_rate=0.1, epochs=1, batch_size=10, layer_dims=(4, 2))
