@@ -13,7 +13,6 @@ CLI equivalents:
 import sys
 
 from convexlab import (
-    SplitSpec,
     TrainConfig,
     evaluate,
     fetch_mnist,
@@ -33,7 +32,7 @@ except (TransportError, OSError) as exc:
     sys.exit(1)
 
 train_src, test_src = load_mnist(data_dir)
-tr, va, te = split(train_src, test_src, SplitSpec(5000, 1000, 1000, shuffle_seed=0))
+tr, va, te = split(train_src, test_src, 5000, 1000, 1000, shuffle_seed=0)
 print(f"splits: train {tr.size}, val {va.size}, test {te.size}")
 
 

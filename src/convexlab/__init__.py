@@ -24,7 +24,6 @@ from .convexity import (
 )
 from .data import (
     SampleBatch,
-    SplitSpec,
     batches,
     fetch_mnist,
     load_idx_images,

@@ -34,7 +34,6 @@ from .criteria import NumericDomainError
 from .data import (
     DEFAULT_MNIST_URL,
     IdxFormatError,
-    SplitSpec,
     TransportError,
     default_data_dir,
     fetch_mnist,
@@ -234,7 +233,7 @@ def _load_datasets(cfg: dict):
     n_train, n_val, n_test = cfg["train_count"], cfg["val_count"], cfg["test_count"]
     if name == "mnist":
         source_train, source_test = load_mnist(default_data_dir(cfg["data_dir"] or None))
-        parts = split(source_train, source_test, SplitSpec(n_train, n_val, n_test, shuffle_seed=seed))
+        parts = split(source_train, source_test, n_train, n_val, n_test, shuffle_seed=seed)
     else:
         total = n_train + n_val + n_test
         if name == "blobs":
@@ -319,8 +318,10 @@ def cmd_gradcheck(cfg: dict) -> int:
     print(f"max lam-derivative relative error:  {summary.max_lambda_rel_err:.3e} (tolerance {tol_l:g})")
     if not summary.ok:
         print("FAIL", file=sys.stderr)
-        print(f"worst weight case:  {summary.worst_weight_case.describe()}", file=sys.stderr)
-        print(f"worst lambda case:  {summary.worst_lambda_case.describe()}", file=sys.stderr)
+        for name, err, case in (("weight", summary.max_weight_rel_err, summary.worst_weight_case),
+                                ("lambda", summary.max_lambda_rel_err, summary.worst_lambda_case)):
+            why = f" (error nan: both values below {gradcheck.REL_ERROR_FLOOR:g}, or not finite)"
+            print(f"worst {name} case:  {case.describe()}{why if np.isnan(err) else ''}", file=sys.stderr)
         return EXIT_VERIFICATION
     print("PASS")
     return EXIT_OK

@@ -11,7 +11,9 @@ factors exactly as
 with g_i and H_i the gradient and Hessian of the per-sample loss c_i.  The
 scan takes the bracket, which has the same PSD verdict: its entries are
 bounded by s * max|g_i|^2 + max|H_i|, and nothing past the softmax is
-exponentiated.  A non-finite loss, probe or Hessian stops the scan.
+exponentiated.  A non-finite loss, probe or Hessian stops the scan.  The
+PSD slack comes from the FD part sum_i w_i H_i and the eigensolver only,
+never from the Gauss-Newton term, which is PSD by construction.
 
 Scans are restricted to smooth activations (tanh, sigmoid): relu kinks sit
 on measure-zero sets that finite differences straddle.  Each point's
@@ -50,10 +52,10 @@ TARGET_SCALE = 6.0
 
 
 def psd_tolerance(hessian):
-    """Eigenvalue slack scaled by the Hessian's diagonal magnitude (the
-    scan's Gauss-Newton term grows with lam**p, so a fixed tolerance would
-    be meaningless).  A float for one (n, n) matrix, an array for a
-    (K, n, n) stack."""
+    """Eigenvalue slack of a finite-difference Hessian, 1e-6 * (1 + max|H_ii|):
+    a float for one (n, n) matrix, an array for a (K, n, n) stack.  The scan
+    takes it of the FD part only: of the whole bracket it would grow with the
+    Gauss-Newton term like lam**p, and call every point PSD at a large lam."""
     h = np.asarray(hessian)
     return 1e-6 * (1.0 + np.abs(np.diagonal(h, axis1=-2, axis2=-1)).max(axis=-1))
 
@@ -70,10 +72,10 @@ class RegionScan:
     raw criterion's value at lam_i would pass EXP_CAP at point j
     (lam_i**p * max(c) > EXP_CAP).  Its Hessian is finite there all the same.
 
-    psd_tol and ce_psd_tol hold the `psd_tolerance` each verdict used:
-    psd is min_eigs >= -psd_tol.  min_eigs / psd_tol is therefore a
-    scale-free distance from the PSD region, comparable across points and
-    lams where the raw eigenvalues are not.
+    psd_tol and ce_psd_tol hold the slack each verdict used (see
+    `scan_convexity`): psd is min_eigs >= -psd_tol.  min_eigs / psd_tol is
+    therefore a scale-free distance from the PSD region, comparable across
+    points and lams where the raw eigenvalues are not.
     """
 
     lambdas: tuple
@@ -131,8 +133,10 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
     centre.  One FD pass of W @ c gives every sum_i w_ki H_i, one stacked
     `fd_gradient` call gives the per-sample gradients g_i, and the
     Gauss-Newton term s_k * sum_i w_ki g_i g_i^T (s_0 = 0) completes each
-    Hessian.  lams must be strictly ascending, each one (with p) a valid
-    `CriterionParams`, and box_radius positive with 2 * box_radius finite.
+    Hessian.  Its verdict is PSD when its smallest eigenvalue is >=
+    -(psd_tolerance(sum_i w_ki H_i) + n * eps * max|eig|).  lams must be
+    strictly ascending, each one (with p) a valid `CriterionParams`, and
+    box_radius positive with 2 * box_radius finite.
     """
     n = model_template.param_count
     if n > MAX_SCAN_PARAMS:
@@ -168,13 +172,15 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
                                    + [sample_weights(c0, pr) for pr in params])
                 grads = fd_gradient(losses, x)
                 hess = fd_hessian(lambda v: weights @ losses(v), x, h)
+                fd_tol = psd_tolerance(hess)  # before the Gauss-Newton term is added
                 hess += np.einsum("km,mi,mj->kij", scales[:, None] * weights, grads, grads)
                 if not np.all(np.isfinite(hess)):  # eigvalsh would read NaN as a verdict
                     raise NumericDomainError("non-finite Hessian")
             except NumericDomainError as e:
                 raise NumericDomainError(f"point {j}, box_radius {box_radius}, lambdas {lam_list}: {e}")
-            min_eigs[:, j] = np.linalg.eigvalsh(hess)[:, 0]
-            tols[:, j] = psd_tolerance(hess)
+            eigs = np.linalg.eigvalsh(hess)
+            min_eigs[:, j] = eigs[:, 0]
+            tols[:, j] = fd_tol + n * np.finfo(float).eps * np.abs(eigs[:, [0, -1]]).max(axis=1)
             used_nrae[:, j] = scales[1:] * c0.max() > EXP_CAP
     psd = min_eigs >= -tols
 

@@ -8,6 +8,7 @@ with an atomic write-then-rename so a failed transfer never leaves partial
 files behind.  The network stack (urllib, http.client, ssl) is imported
 only when `fetch_mnist` runs, so `import convexlab` does not load it.
 Loaded datasets are immutable and safe to share across concurrent readers.
+A batch's inputs are (m, d) everywhere, and `split` returns three batches.
 """
 
 from __future__ import annotations
@@ -53,24 +54,26 @@ class TransportError(RuntimeError):
 
 @dataclass
 class SampleBatch:
-    """A contiguous batch: inputs (m, d) plus integer class labels or real
-    regression targets."""
+    """A contiguous batch: (m, d) inputs, refused in any other rank, plus integer
+    class labels or real regression targets; inputs and real targets are finite."""
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=float)
-        if self.inputs.ndim == 1:
-            self.inputs = self.inputs[:, None]
         self.targets = np.asarray(self.targets)
+        if self.inputs.ndim != 2:
+            raise ValueError(f"inputs must be an (m, d) array, got shape {self.inputs.shape}")
         if self.inputs.shape[0] < 1:
             raise ValueError("a batch needs at least one sample")
         if self.targets.shape[0] != self.inputs.shape[0]:
             raise ValueError("inputs and targets disagree on sample count")
-        # NaN and +-inf reach the extremes, so no full-size mask is built
-        if self.inputs.size and not (np.isfinite(self.inputs.min()) and np.isfinite(self.inputs.max())):
-            raise ValueError("inputs contain non-finite values")
+        # NaN and +-inf reach the extremes, so no full-size mask is built;
+        # integer labels are finite and skip the check
+        for name, arr in (("inputs", self.inputs), ("targets", self.targets)):
+            if arr.size and arr.dtype.kind == "f" and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                raise ValueError(f"{name} contain non-finite values")
 
     @property
     def size(self) -> int:
@@ -84,9 +87,10 @@ class SampleBatch:
         """The rows `indices` names, in that order.  An ascending run of
         consecutive in-range rows, such as `np.arange(a, b)` or
         `range(a, b)`, comes back as a slice view that shares memory with
-        this batch; any other index array (permuted, strided, negative,
-        boolean, 2-D) is a copy, as numpy's fancy indexing gives.  Sharing
-        is safe because nothing writes into a batch once it is built."""
+        this batch; any other index vector (permuted, strided, negative,
+        boolean) is a copy, as numpy's fancy indexing gives, and an index of
+        another rank is refused.  Sharing is safe because nothing writes into
+        a batch once it is built."""
         idx = np.asarray(indices)
         if idx.ndim == 1 and idx.size and idx.dtype.kind in "iu":
             # scalar reads first, so a shuffled batch skips the O(m) step test
@@ -95,18 +99,6 @@ class SampleBatch:
                     and np.all(np.diff(idx) == 1)):
                 idx = slice(first, last + 1)
         return SampleBatch(self.inputs[idx], self.targets[idx])
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    train_count: int
-    val_count: int
-    test_count: int
-    shuffle_seed: int = 0
-
-    def __post_init__(self):
-        if min(self.train_count, self.val_count, self.test_count) < 0:
-            raise ValueError("split counts must be nonnegative")
 
 
 def _read_exact(fh, nbytes, path, what):
@@ -241,27 +233,23 @@ def load_mnist(data_dir: str) -> tuple:
     return SampleBatch(tr_x, tr_y), SampleBatch(te_x, te_y)
 
 
-def split(train_source: SampleBatch, test_source: SampleBatch, spec: SplitSpec) -> tuple:
-    """Deterministic (train, val, test) split.  Train and validation are
-    disjoint draws from the shuffled training source (validation from the
-    tail of the shuffle); test is the head of the test source.  Every part
-    is a copy, so no part keeps a whole source alive."""
+def split(train_source: SampleBatch, test_source: SampleBatch, train_count: int,
+          val_count: int, test_count: int, shuffle_seed: int = 0) -> tuple:
+    """Deterministic (train, val, test) split; every count must be >= 1.
+    Train and validation are disjoint draws from the shuffled training
+    source (validation from the tail of the shuffle); test is the head of
+    the test source.  Every part is a copy, so no part keeps a whole
+    source alive."""
+    if min(train_count, val_count, test_count) < 1:
+        raise ValueError(f"split counts must be >= 1, got {train_count}, {val_count}, {test_count}")
     n = train_source.size
-    if spec.train_count + spec.val_count > n:
-        raise ValueError(
-            f"train+val = {spec.train_count + spec.val_count} exceeds source size {n}"
-        )
-    if spec.test_count > test_source.size:
-        raise ValueError(f"test_count {spec.test_count} exceeds test source size {test_source.size}")
-    perm = rng_for(spec.shuffle_seed, "split").permutation(n)
-    train_idx = perm[: spec.train_count]
-    val_idx = perm[n - spec.val_count:] if spec.val_count else perm[:0]
-    train = train_source.take(train_idx) if spec.train_count else None
-    val = train_source.take(val_idx) if spec.val_count else None
-    head = slice(spec.test_count)
-    test = (SampleBatch(test_source.inputs[head].copy(), test_source.targets[head].copy())
-            if spec.test_count else None)
-    return train, val, test
+    if train_count + val_count > n:
+        raise ValueError(f"train+val = {train_count + val_count} exceeds source size {n}")
+    if test_count > test_source.size:
+        raise ValueError(f"test_count {test_count} exceeds test source size {test_source.size}")
+    perm = rng_for(shuffle_seed, "split").permutation(n)
+    return (train_source.take(perm[:train_count]), train_source.take(perm[n - val_count:]),
+            SampleBatch(test_source.inputs[:test_count].copy(), test_source.targets[:test_count].copy()))
 
 
 def batches(dataset: SampleBatch, batch_size: int, epoch_seed: int):

@@ -29,7 +29,8 @@ row equals, bit for bit, the value of that vector on its own.  Each probe
 stack is built fresh for one call, so `check_case` wraps it in a stacked
 model as it is, without the private copy `unflatten` would make.
 
-A NaN error fails the sweep: it counts as worse than any number.
+A NaN error fails the sweep: it counts as worse than any number.  `rel_error`
+gives NaN for two values below REL_ERROR_FLOOR, which no quotient resolves.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ FD_STEP = 1e-6  # weight-gradient oracle's step
 DEFAULT_FD_STEP = 1e-4  # fd_hessian's base step
 MAX_HESSIAN_DIM = 200  # fd_hessian's guard on the parameter count
 LAMBDA_FD_STEP = 1e-3  # lam oracle's coarse step, relative to lam
+REL_ERROR_FLOOR = 1e-12  # the smallest derivative a comparison resolves
 # output mode -> output dim choices, in the order a sweep cycles through them
 OUTPUT_DIMS = {"softmax-ce": (2, 3), "sigmoid-binary-ce": (1,), "identity-squared": (1, 2)}
 
@@ -200,10 +202,12 @@ def fd_lambda_gradient(c, params: CriterionParams) -> float:
 
 
 def rel_error(approx, exact) -> float:
+    """max|approx - exact| / max(|approx|, |exact|), or NaN (a failure) when
+    both are below REL_ERROR_FLOOR: a floored ratio would pass any such pair."""
     a = np.atleast_1d(np.asarray(approx, dtype=float))
     e = np.atleast_1d(np.asarray(exact, dtype=float))
-    scale = max(float(np.abs(a).max()), float(np.abs(e).max()), 1e-12)
-    return float(np.abs(a - e).max()) / scale
+    scale = max(float(np.abs(a).max()), float(np.abs(e).max()))
+    return float(np.abs(a - e).max()) / scale if scale >= REL_ERROR_FLOOR else float("nan")
 
 
 def _random_case(rng, lam, p, output_mode, seed) -> GradCheckCase:

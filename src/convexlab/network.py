@@ -1,5 +1,6 @@
 """Minimal multilayer perceptron: seeded init, batched forward, and a
 weighted backward pass returning the flat gradient sum_i w_i * grad(c_i).
+Inputs are (m, d_0) arrays, one sample a row; no other rank is accepted.
 
 A model owns one parameter buffer `theta`, whose layout is frozen for the
 whole package: layer-major, and within a layer the weight matrix in
@@ -204,16 +205,15 @@ def init_model(layer_dims, activation, output_mode, seed: int) -> MlpModel:
 
 
 def forward(model: MlpModel, inputs) -> ForwardCache:
-    """Batched forward pass; returns the cache needed by weighted_backward.
-    softmax-ce outputs are rows of probabilities summing to 1.  A stacked
-    model runs every network on the same (m, d_0) inputs."""
+    """Batched forward pass over (m, d_0) inputs (any other rank is
+    refused); returns the cache needed by weighted_backward.  softmax-ce
+    outputs are rows of probabilities summing to 1.  A stacked model runs
+    every network on the same inputs."""
     x = np.asarray(inputs, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"inputs must be an (m, d_0) array, got shape {x.shape}")
     if x.shape[1] != model.layer_dims[0]:
-        raise ValueError(
-            f"input width {x.shape[1]} does not match d_0 = {model.layer_dims[0]}"
-        )
+        raise ValueError(f"input width {x.shape[1]} does not match d_0 = {model.layer_dims[0]}")
     acts = [x]
     h = x
     last = model.num_layers - 1
@@ -282,14 +282,12 @@ def weighted_backward(model: MlpModel, batch, weights, cache: ForwardCache | Non
     activations; rows with w_i = 0 are not skipped (see the module
     docstring)."""
     w_vec = np.asarray(weights, dtype=float)
-    x = np.asarray(batch.inputs)
-    m = x.shape[0] if x.ndim > 1 else 1
-    if w_vec.shape != (m,):
-        raise ValueError(f"weights must have shape ({m},), got {w_vec.shape}")
+    if w_vec.shape != (batch.size,):
+        raise ValueError(f"weights must have shape ({batch.size},), got {w_vec.shape}")
     if np.any(w_vec < 0):
         raise ValueError("sample weights must be nonnegative")
     if cache is None:
-        cache = forward(model, x)
+        cache = forward(model, batch.inputs)
 
     delta = _output_delta(cache, batch.targets, model.output_mode)
     delta *= w_vec[:, None]

@@ -8,8 +8,8 @@
     anrat      - joint SGD on (W, lam) with the lam**(-q) penalty
 
 plus hold-out evaluation, grid search over (learning rate, penalty weight),
-and stagnancy detection on the validation loss over the last
-STAGNANCY_WINDOW epochs.
+and a fixed stagnancy verdict (STAGNANCY_WINDOW, STAGNANCY_MIN_REL_IMPROVEMENT).
+An epoch has one divergence exit, `DivergedError` (batch -1: the evaluation).
 
 `TrainConfig` checks every field by one rule whatever the strategy, and
 each strategy reads only its own (rho: scheduled; lambda_lr, a, q: anrat).
@@ -224,23 +224,18 @@ def scheduled_update(lam: float, switched: bool, max_loss: float, rho: float,
     return lam, CriterionParams(lam, p).scale * max_loss <= EXP_CAP
 
 
-def detect_stagnancy(vals, window: int = STAGNANCY_WINDOW,
-                     min_rel_improvement: float = STAGNANCY_MIN_REL_IMPROVEMENT) -> bool:
-    """True iff the per-epoch validation losses `vals` improved by less
-    than min_rel_improvement (relative) over the last `window` epochs.
-    Fewer values than `window` is insufficient evidence, hence False."""
-    if window < 2:
-        raise ValueError("window must be >= 2")
-    if len(vals) < window:
+def detect_stagnancy(vals) -> bool:
+    """True iff the per-epoch validation losses `vals` improved by less than
+    STAGNANCY_MIN_REL_IMPROVEMENT (relative) over the last STAGNANCY_WINDOW
+    epochs.  Fewer values is insufficient evidence, hence False."""
+    if len(vals) < STAGNANCY_WINDOW:
         return False
-    first, last = vals[-window], vals[-1]
-    return (first - last) / max(abs(first), 1e-300) < min_rel_improvement
+    first, last = vals[-STAGNANCY_WINDOW], vals[-1]
+    return (first - last) / max(abs(first), 1e-300) < STAGNANCY_MIN_REL_IMPROVEMENT
 
 
 def _check_fits(model: MlpModel, dataset: SampleBatch) -> None:
     """Refuse data whose targets imply another output mode than the model's."""
-    if dataset is None:
-        raise ValueError("dataset must not be empty")
     mode = output_mode_for(dataset, model.layer_dims[-1])
     if mode != model.output_mode:
         raise ValueError(f"the targets imply output mode {mode}, but the model's is {model.output_mode}")
@@ -267,7 +262,6 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
     model = init_model(config.layer_dims, config.activation, mode, config.seed)
     _check_fits(model, val_set)
     lam = config.lambda0
-    lam_lr = config.effective_lambda_lr
     switched = False
     records = []
     best_epoch = -1
@@ -278,30 +272,27 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
         t0 = time.perf_counter()
         kind = "rae" if switched else CRITERION_KINDS[config.strategy]
         crit_sum = ce_sum = 0.0
-        seen = 0
-        # overflow or an invalid operation in a step or the evaluation is divergence
-        with np.errstate(over="raise", invalid="raise"):
-            for bi, batch in enumerate(batches(train_set, config.batch_size, epoch_seed(config.seed, ep))):
-                try:
+        # an FP error or a non-finite value in a step or the evaluation (batch -1) diverges
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for bi, batch in enumerate(batches(train_set, config.batch_size,
+                                                   epoch_seed(config.seed, ep))):
                     params = CriterionParams(lam=lam, p=config.p, a=config.a, q=config.q)
                     model, report = sgd_step(model, batch, kind, params, config.learning_rate)
                     if kind == "anrat":
-                        lam = anrat_lambda_step(lam, report.lambda_grad, lam_lr)
-                except (FloatingPointError, NumericDomainError) as exc:
-                    raise DivergedError(ep, bi, str(exc)) from exc
-                if not np.isfinite(report.criterion_value):
-                    raise DivergedError(ep, bi, f"criterion value {report.criterion_value}")
-                m = batch.size
-                crit_sum += report.criterion_value * m
-                ce_sum += report.ce_value * m
-                seen += m
-                max_loss_seen = max(max_loss_seen, report.max_loss)
-            try:
+                        lam = anrat_lambda_step(lam, report.lambda_grad, config.effective_lambda_lr)
+                    if not np.isfinite(report.criterion_value):
+                        raise NumericDomainError(f"criterion value {report.criterion_value}")
+                    m = batch.size
+                    crit_sum += report.criterion_value * m
+                    ce_sum += report.ce_value * m
+                    max_loss_seen = max(max_loss_seen, report.max_loss)
+                bi = -1
                 val_ce, val_err = evaluate(model, val_set)
-            except (FloatingPointError, NumericDomainError) as exc:
-                raise DivergedError(ep, -1, str(exc)) from exc
-        if not (np.isfinite(val_ce) and np.isfinite(val_err)):
-            raise DivergedError(ep, -1, "non-finite validation loss")
+                if not (np.isfinite(val_ce) and np.isfinite(val_err)):
+                    raise NumericDomainError("non-finite validation loss")
+        except (FloatingPointError, NumericDomainError) as exc:
+            raise DivergedError(ep, bi, str(exc)) from exc
         if config.strategy == "scheduled":
             # the switch must stay feasible for every FUTURE batch, not just
             # past ones: cross-entropy losses have the clamp ceiling, so the
@@ -310,8 +301,8 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
             lam, switched = scheduled_update(lam, switched, switch_signal, config.rho, config.p)
         records.append(EpochRecord(
             epoch=ep,
-            train_criterion=crit_sum / seen,
-            train_ce=ce_sum / seen,
+            train_criterion=crit_sum / train_set.size,  # batches cover the set once
+            train_ce=ce_sum / train_set.size,
             val_ce=val_ce,
             val_error=val_err,
             lam=lam,

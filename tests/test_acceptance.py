@@ -25,7 +25,6 @@ from convexlab.convexity import scan_convexity, scan_problem
 from convexlab.data import (
     IdxFormatError,
     SampleBatch,
-    SplitSpec,
     load_idx_images,
     load_idx_labels,
     load_mnist,
@@ -42,7 +41,7 @@ from convexlab.trainer import (
 )
 
 DESK_NET = (784, 128, 10)
-DESK_SPLIT = SplitSpec(5000, 1000, 1000, shuffle_seed=0)
+DESK_SPLIT = (5000, 1000, 1000)  # train, val and test counts
 DESK_EPOCHS = 20
 DESK_BATCH = 100
 SEEDS = (0, 1, 2)
@@ -56,7 +55,7 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def desk_splits(mnist_dir):
     train_src, test_src = load_mnist(mnist_dir)
-    tr, va, te = split(train_src, test_src, DESK_SPLIT)
+    tr, va, te = split(train_src, test_src, *DESK_SPLIT, shuffle_seed=0)
     return tr, va, te
 
 

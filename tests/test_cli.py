@@ -529,6 +529,14 @@ class TestGradcheckCommand:
         assert "max weight-gradient relative error: nan" in captured.out
         assert "worst weight case:" in captured.err and "seed=1001" in captured.err
 
+    def test_unresolved_lambda_derivative_exit_4(self, capsys):
+        assert run(["gradcheck", "--lambda", "1e150", "--p", "2", "--set", "gc_cases=3"]) == EXIT_VERIFICATION
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "max lam-derivative relative error:  nan" in captured.out
+        worst = next(line for line in captured.err.splitlines() if line.startswith("worst lambda case:"))
+        assert "lam=1e+150 p=2" in worst and "both values below 1e-12" in worst
+
     @pytest.mark.parametrize("args, named", [
         (["--set", "gc_cases=0"], "at least one"),
         (["--set", "gc_cases=-2"], "at least one"),
@@ -575,6 +583,12 @@ class TestScanCommand:
         assert rc == EXIT_OK
         summary = (out / "lg.scan_summary.csv").read_text().splitlines()[1:]
         assert all(line.split(",")[1] == "1.0" for line in summary)
+
+    def test_large_lambda_reads_its_curvature(self, tmp_path, capsys):
+        # the Gauss-Newton term at lam = 1e6 widens no slack; a slack grown with it read 1.000
+        assert run(["scan", "--net", "1,3,1", "--lambdas", "1,1e6", "--points", "5",
+                    "--out", tmp_path]) == EXIT_OK
+        assert "lambda=1e+06: psd_fraction=0.000" in capsys.readouterr().out.splitlines()
 
     def test_resolved_config_reproduces_scan(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -30,17 +30,26 @@ def losses_of(template, ds):
     return losses
 
 
-def recorded_hessians(monkeypatch):
-    """The (K+1, n, n) Hessian stack each scanned point's verdicts come
-    from, in point order: psd_tolerance sees every one of them."""
-    stacks = []
+def recorded_scan(monkeypatch, *args, **kwargs):
+    """(scan, fd_parts, brackets): per scanned point, in point order, the
+    (K+1, n, n) FD part sum_i w_i H_i that psd_tolerance sees, and the whole
+    bracket that the eigensolve sees."""
+    fd_parts, brackets = [], []
+    eigvalsh = np.linalg.eigvalsh
 
-    def recording(hess):
-        stacks.append(np.array(hess))
+    def tolerance(hess):
+        fd_parts.append(np.array(hess))
         return psd_tolerance(hess)
 
-    monkeypatch.setattr(convexity, "psd_tolerance", recording)
-    return stacks
+    def eigensolve(hess):
+        brackets.append(np.array(hess))
+        return eigvalsh(hess)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(convexity, "psd_tolerance", tolerance)
+        patch.setattr(np.linalg, "eigvalsh", eigensolve)
+        scan = scan_convexity(*args, **kwargs)
+    return scan, fd_parts, brackets
 
 
 def logistic_problem(seed=3):
@@ -144,8 +153,8 @@ class TestScan:
         # agree to FD accuracy
         template, ds = scaled_sine_problem()
         lambdas = [1.0, 2.0, 4.0, 8.0]
-        stacks = recorded_hessians(monkeypatch)
-        scan = scan_convexity(template, ds, lambdas, num_points=3, box_radius=1.0, seed=0)
+        scan, _, stacks = recorded_scan(monkeypatch, template, ds, lambdas, num_points=3,
+                                        box_radius=1.0, seed=0)
         assert len(stacks) == 3
         losses = losses_of(template, ds)
         n = template.param_count
@@ -174,19 +183,44 @@ class TestScan:
 
     def test_verdicts_keep_their_tolerance(self, monkeypatch):
         # each verdict compares the smallest eigenvalue of the closed-form
-        # stack with psd_tolerance of that same stack, flagged points included
+        # stack with psd_tolerance of its FD part plus the eigensolver's
+        # n * eps * max|eig| of the whole stack, flagged points included
         template, ds = scaled_sine_problem(target_scale=10.0)
-        stacks = recorded_hessians(monkeypatch)
-        scan = scan_convexity(template, ds, [1, 8], num_points=4, box_radius=1.0, seed=2)
+        scan, fd_parts, stacks = recorded_scan(monkeypatch, template, ds, [1, 8], num_points=4,
+                                               box_radius=1.0, seed=2)
         assert scan.used_nrae[1].any()
-        tols = np.stack([psd_tolerance(stack) for stack in stacks], axis=1)
-        lows = np.stack([np.linalg.eigvalsh(stack)[:, 0] for stack in stacks], axis=1)
+        assert len(fd_parts) == len(stacks) == 4
+        n = template.param_count
+        for part, stack in zip(fd_parts, stacks):
+            # the Gauss-Newton term, which the slack leaves out, is PSD and
+            # zero in the base row
+            assert np.array_equal(part[0], stack[0])
+            assert np.all(np.linalg.eigvalsh(stack - part)[:, 0] >= -1e-9 * np.abs(stack).max())
+        spectra = [np.linalg.eigvalsh(stack) for stack in stacks]
+        eig_bounds = [n * np.finfo(float).eps * np.abs(eigs[:, [0, -1]]).max(axis=1) for eigs in spectra]
+        tols = np.stack([psd_tolerance(part) + bound for part, bound in zip(fd_parts, eig_bounds)], axis=1)
+        lows = np.stack([eigs[:, 0] for eigs in spectra], axis=1)
         assert np.array_equal(scan.ce_psd_tol, tols[0])
         assert np.array_equal(scan.psd_tol, tols[1:])
         assert np.array_equal(scan.ce_min_eigs, lows[0])
         assert np.array_equal(scan.min_eigs, lows[1:])
         assert np.array_equal(scan.psd, scan.min_eigs >= -scan.psd_tol)
         assert np.array_equal(scan.ce_psd, scan.ce_min_eigs >= -scan.ce_psd_tol)
+
+    def test_large_lambda_verdicts_come_from_curvature(self):
+        # the Gauss-Newton term grows like lam but is PSD by construction, so
+        # it widens no slack: at lam = 1e6 the default problem's negative
+        # curvature still reads non-PSD, while the convex logistic preset
+        # stays PSD up to lam = 1e10
+        template, ds = scan_problem((1, 3, 1))
+        scan = scan_convexity(template, ds, [1.0, 1e6], num_points=20, box_radius=1.0, seed=0)
+        assert scan.psd_fraction[1] == 0.0
+        assert np.all(scan.min_eigs[1] < -scan.psd_tol[1])
+        template, ds = scan_problem((1, 1), preset="logistic")
+        for radius in (1.0, 2.0):
+            scan = scan_convexity(template, ds, [1.0, 8.0, 1e3, 1e6, 1e10], num_points=20,
+                                  box_radius=radius, seed=0)
+            assert np.all(scan.psd_fraction == 1.0)
 
     def test_rejects_bad_arguments(self, monkeypatch):
         template, ds = scaled_sine_problem()

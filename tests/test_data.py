@@ -16,7 +16,6 @@ from convexlab.data import (
     IdxFormatError,
     MNIST_FILES,
     SampleBatch,
-    SplitSpec,
     TransportError,
     batches,
     fetch_mnist,
@@ -172,7 +171,7 @@ class TestSplit:
     def test_counts_and_disjointness(self):
         train_src = make_source(600)
         test_src = make_source(100, seed=1)
-        tr, va, te = split(train_src, test_src, SplitSpec(400, 100, 80, shuffle_seed=1))
+        tr, va, te = split(train_src, test_src, 400, 100, 80, shuffle_seed=1)
         assert (tr.size, va.size, te.size) == (400, 100, 80)
         tr_keys = {tuple(row) for row in tr.inputs}
         va_keys = {tuple(row) for row in va.inputs}
@@ -182,9 +181,8 @@ class TestSplit:
         train_src = make_source(200)
         test_src = make_source(50, seed=1)
         for seed in np.random.default_rng(0).integers(0, 2**31, size=10):
-            spec = SplitSpec(120, 40, 20, shuffle_seed=int(seed))
-            a = split(train_src, test_src, spec)
-            b = split(train_src, test_src, spec)
+            a = split(train_src, test_src, 120, 40, 20, shuffle_seed=int(seed))
+            b = split(train_src, test_src, 120, 40, 20, shuffle_seed=int(seed))
             for x, y in zip(a, b):
                 assert np.array_equal(x.inputs, y.inputs)
                 assert np.array_equal(x.targets, y.targets)
@@ -192,30 +190,30 @@ class TestSplit:
             va_keys = {tuple(row) for row in a[1].inputs}
             assert not tr_keys & va_keys
 
-    def test_eval_only_split(self):
-        train_src = make_source(10)
-        test_src = make_source(30, seed=1)
-        tr, va, te = split(train_src, test_src, SplitSpec(0, 0, 30))
-        assert tr is None and va is None and te.size == 30
+    @pytest.mark.parametrize("counts", [(0, 5, 5), (5, 0, 5), (5, 5, 0), (5, 5, -1)])
+    def test_zero_count_refused(self, counts):
+        # every part is a batch, so none may be empty
+        with pytest.raises(ValueError) as exc:
+            split(make_source(10), make_source(30, seed=1), *counts)
+        assert str(exc.value) == "split counts must be >= 1, got {}, {}, {}".format(*counts)
 
     def test_oversubscription(self):
         with pytest.raises(ValueError):
-            split(make_source(100), make_source(10, seed=1), SplitSpec(90, 20, 5))
+            split(make_source(100), make_source(10, seed=1), 90, 20, 5)
         with pytest.raises(ValueError):
-            split(make_source(100), make_source(10, seed=1), SplitSpec(10, 10, 20))
+            split(make_source(100), make_source(10, seed=1), 10, 10, 20)
 
     def test_test_comes_from_test_source(self):
         train_src = make_source(50, dim=2, seed=2)
         test_src = SampleBatch(np.full((20, 2), 77.0), np.zeros(20, dtype=np.int64))
-        _, _, te = split(train_src, test_src, SplitSpec(30, 10, 20, shuffle_seed=3))
+        _, _, te = split(train_src, test_src, 30, 10, 20, shuffle_seed=3)
         assert np.all(te.inputs == 77.0)
 
     def test_parts_are_copies_of_unchanged_rows(self):
         # test is the head of its source, yet a copy: a view would keep the
         # whole test source alive behind a small test set
         train_src, test_src = make_source(60), make_source(40, seed=1)
-        spec = SplitSpec(30, 10, 20, shuffle_seed=4)
-        tr, va, te = split(train_src, test_src, spec)
+        tr, va, te = split(train_src, test_src, 30, 10, 20, shuffle_seed=4)
         for part, source in ((tr, train_src), (va, train_src), (te, test_src)):
             assert not np.shares_memory(part.inputs, source.inputs)
             assert not np.shares_memory(part.targets, source.targets)
@@ -344,8 +342,19 @@ class TestSampleBatch:
             x[2, 1] = bad
             with pytest.raises(ValueError, match="inputs contain non-finite values"):
                 SampleBatch(x, np.zeros(4))
+            # real targets too, vectors and columns; labels are finite by type
+            for y in (np.array([0.0, bad, 2.0, 1.0]), np.array([[0.0, 1.0], [bad, 1.0], [2.0, 0.5], [1.0, 1.0]])):
+                with pytest.raises(ValueError, match="^targets contain non-finite values$"):
+                    SampleBatch(np.zeros((4, 3)), y)
         # an input with no features has no extremes, and is not refused for it
         assert SampleBatch(np.zeros((3, 0)), np.zeros(3)).size == 3
+
+    @pytest.mark.parametrize("shape", [(4,), (), (2, 2, 3)])
+    def test_inputs_of_another_rank_refused(self, shape):
+        # a vector is neither m samples of one feature nor one sample of d
+        with pytest.raises(ValueError) as exc:
+            SampleBatch(np.zeros(shape), np.zeros(shape[:1] or 1))
+        assert str(exc.value) == f"inputs must be an (m, d) array, got shape {shape}"
 
     def test_take_of_a_run_is_a_view(self):
         src = make_source(20)
@@ -381,8 +390,8 @@ class TestSampleBatch:
             assert np.array_equal(part.inputs, src.inputs[np.asarray(indices)])
             assert np.array_equal(part.targets, src.targets[np.asarray(indices)])
             assert not np.shares_memory(part.inputs, src.inputs)
-        grid = src.take(np.array([[0, 1], [2, 3]]))
-        assert grid.inputs.shape == (2, 2, 3)
+        with pytest.raises(ValueError, match=r"inputs must be an \(m, d\) array, got shape \(2, 2, 3\)"):
+            src.take(np.array([[0, 1], [2, 3]]))
         with pytest.raises(ValueError):
             src.take(np.arange(0))  # an empty batch is refused as before
 

@@ -339,6 +339,25 @@ class TestNanErrors:
         assert summary.worst_weight_case.seed == summary.worst_lambda_case.seed == 1000
 
 
+class TestUnresolvedDerivatives:
+    """Two values below REL_ERROR_FLOOR compare as NaN, which fails: a
+    floored ratio would pass them whatever they are."""
+
+    def test_rel_error_below_the_floor_is_nan(self):
+        assert math.isnan(rel_error(1e-288, 5e-289))
+        assert math.isnan(rel_error([0.0, 1e-13], [0.0, -1e-13]))
+        assert rel_error(1e-288, 1e-11) == pytest.approx(1.0)
+        assert rel_error(2e-12, 1e-12) == 0.5
+
+    def test_huge_lambda_sweep_fails_and_names_its_case(self):
+        # at lam = 1e150, p = 2 the lam derivative is about 1e-288
+        summary = run_gradcheck(num_cases=3, lambdas=(1e150,), ps=(2,))
+        assert not summary.ok
+        assert math.isnan(summary.max_lambda_rel_err)
+        assert (summary.worst_lambda_case.lam, summary.worst_lambda_case.p) == (1e150, 2)
+        assert summary.max_weight_rel_err < summary.tol_weights
+
+
 def _decimal_grad_lambda(c, params):
     """(p/lam) * (sum_i w_i c_i - nrae) - a*q*lam**(-q-1) in 80-digit decimal
     arithmetic from the float64 losses."""

@@ -107,6 +107,14 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(m, np.ones((2, 4)))
 
+    @pytest.mark.parametrize("shape", [(3,), (), (1, 2, 3)])
+    def test_inputs_of_another_rank_refused(self, shape):
+        # a vector of d_0 values is not read as one sample: batches are (m, d_0)
+        m = init_model([3, 2], "tanh", "softmax-ce", seed=0)
+        with pytest.raises(ValueError) as exc:
+            forward(m, np.full(shape, 0.1))
+        assert str(exc.value) == f"inputs must be an (m, d_0) array, got shape {shape}"
+
     def test_deterministic(self):
         m = init_model([4, 6, 3], "relu", "softmax-ce", seed=5)
         x = np.random.default_rng(1).normal(size=(7, 4))
