@@ -16,6 +16,7 @@ from convexlab import (
     TrainConfig,
     evaluate,
     fetch_mnist,
+    grid_configs,
     grid_search,
     load_mnist,
     split,
@@ -52,7 +53,7 @@ ce_ce, ce_err = evaluate(ce_rep.best_model, te)
 print(f"\nce baseline (lr={ce_lr:g}): test error {ce_err:.4f}, test ce {ce_ce:.4f}")
 
 # the protocol: grid over learning rate and penalty weight, lam0 = 10
-result = grid_search(config("anrat", lambda0=10.0), tr, va)
+result = grid_search(grid_configs(config("anrat", lambda0=10.0)), tr, va)
 row = result.best_row
 print("\ngrid search (ranked by validation ce):")
 for r in result.rows:

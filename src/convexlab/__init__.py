@@ -53,6 +53,7 @@ from .trainer import (
     anrat_lambda_step,
     detect_stagnancy,
     evaluate,
+    grid_configs,
     grid_search,
     scheduled_update,
     sgd_step,

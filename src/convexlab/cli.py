@@ -5,7 +5,7 @@ Configuration is one flat key=value mapping (`KEY_SPECS`), built in layers:
 defaults (the library's own wherever it defines one, so the two cannot
 drift), then the `--config` file (one pair per line, `#` comments), then
 `--set key=value` overrides, then the command's flags.  Every flag is a
-shorthand for `--set` on one key (`COMMANDS`), so each value, whatever its
+shorthand for `--set` on its own key (`COMMANDS`), so each value, whatever its
 source, is parsed once by its key's parser into a plain dict before any data
 is loaded; unknown keys are rejected, and so are `train` without `strategy`
 and `eval` without `model`.  `train` and `gridsearch` build their
@@ -13,7 +13,8 @@ and `eval` without `model`.  `train` and `gridsearch` build their
 point included, before loading data too.  No key sets the output mode:
 `network.output_mode_for` derives it from the targets, and labels or real
 targets that `net` cannot fit are refused as the data loads.  `scan` takes
-its problem from `convexity.scan_problem`.
+its problem from `convexity.scan_problem`.  No key sets gradcheck's pass
+bounds either: they are `gradcheck.TOL_WEIGHTS` and `TOL_LAMBDA`.
 `train`, `gridsearch` and `scan` echo every key to `<run>.resolved.cfg`,
 which reproduces the run; a refused run writes none.  Stable exit codes: 0
 ok, 1 config/usage, 2 transport, 3 training failure, 4 verification failure.
@@ -124,8 +125,6 @@ KEY_SPECS = {
     "a_grid": (trainer.DEFAULT_A_GRID, _floats, "penalty-weight grid"),
     # gradcheck
     "gc_cases": (gradcheck.DEFAULT_CASES, int, "number of random gradcheck configurations"),
-    "gc_tolerance": (gradcheck.TOL_WEIGHTS, float, "max relative error for weight gradients"),
-    "gc_tolerance_lambda": (gradcheck.TOL_LAMBDA, float, "max relative error for the lam derivative"),
     "gc_lambdas": (gradcheck.DEFAULT_LAMBDAS, _floats, "lam values swept by gradcheck"),
     "gc_ps": (gradcheck.DEFAULT_PS, _ints, "p values swept by gradcheck"),
     # scan
@@ -287,11 +286,11 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_gridsearch(cfg: dict) -> int:
-    base = _train_config(cfg, strategy="anrat")
-    grid_configs(base, cfg["lr_grid"], cfg["a_grid"])  # refuses a bad grid point
+    # every grid point is built, and so checked, before the data load
+    configs = grid_configs(_train_config(cfg, strategy="anrat"), cfg["lr_grid"], cfg["a_grid"])
     train_set, val_set, test_set = _load_datasets(cfg)
     _echo_resolved(cfg)
-    result = grid_search(base, train_set, val_set, cfg["lr_grid"], cfg["a_grid"])
+    result = grid_search(configs, train_set, val_set)
     path = _out_path(cfg, ".grid.csv")
     write_grid_csv(result.rows, path)
     best = result.best_row
@@ -304,18 +303,13 @@ def cmd_gridsearch(cfg: dict) -> int:
 
 
 def cmd_gradcheck(cfg: dict) -> int:
-    tol_w, tol_l = cfg["gc_tolerance"], cfg["gc_tolerance_lambda"]
-    summary = run_gradcheck(
-        num_cases=cfg["gc_cases"],
-        lambdas=cfg["gc_lambdas"],
-        ps=cfg["gc_ps"],
-        tol_weights=tol_w,
-        tol_lambda=tol_l,
-        seed=cfg["seed"],
-    )
+    summary = run_gradcheck(num_cases=cfg["gc_cases"], lambdas=cfg["gc_lambdas"], ps=cfg["gc_ps"],
+                            seed=cfg["seed"])
     print(f"{summary.num_cases} configurations in {summary.elapsed_s:.1f}s")
-    print(f"max weight-gradient relative error: {summary.max_weight_rel_err:.3e} (tolerance {tol_w:g})")
-    print(f"max lam-derivative relative error:  {summary.max_lambda_rel_err:.3e} (tolerance {tol_l:g})")
+    print(f"max weight-gradient relative error: {summary.max_weight_rel_err:.3e} "
+          f"(tolerance {gradcheck.TOL_WEIGHTS:g})")
+    print(f"max lam-derivative relative error:  {summary.max_lambda_rel_err:.3e} "
+          f"(tolerance {gradcheck.TOL_LAMBDA:g})")
     if not summary.ok:
         print("FAIL", file=sys.stderr)
         for name, err, case in (("weight", summary.max_weight_rel_err, summary.worst_weight_case),
@@ -359,7 +353,7 @@ def cmd_eval(cfg: dict) -> int:
 
 
 # Each flag is a shorthand for `--set KEY=VALUE` on the config key it maps
-# to; flags that set the same key exclude each other.
+# to, and no two flags of a command set the same key.
 COMMON_FLAGS = {"--seed": "seed", "--data-dir": "data_dir", "--out": "out", "--run-name": "run_name"}
 
 # command -> (function, help, flags)
@@ -368,10 +362,9 @@ COMMANDS = {
     "train": (cmd_train, "train one strategy, write metrics CSV and best model",
               {"--strategy": "strategy"}),
     "gridsearch": (cmd_gridsearch, "grid-search (learning rate, penalty weight)",
-                   {"--lr": "lr_grid", "--lr-grid": "lr_grid", "--a": "a_grid", "--a-grid": "a_grid"}),
+                   {"--lr": "lr_grid", "--a": "a_grid"}),
     "gradcheck": (cmd_gradcheck, "finite-difference verification of the derivatives",
-                  {"--lambda": "gc_lambdas", "--p": "gc_ps", "--tolerance": "gc_tolerance",
-                   "--tolerance-lambda": "gc_tolerance_lambda"}),
+                  {"--lambda": "gc_lambdas", "--p": "gc_ps"}),
     "scan": (cmd_scan, "convexity-region scan over weight space",
              {"--net": "net", "--lambdas": "lambdas", "--points": "points",
               "--box-radius": "box_radius", "--preset": "preset"}),
@@ -399,12 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="flat key=value config file")
         sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override any config key (repeatable)")
-        groups = {}
         for flag, key in {**COMMON_FLAGS, **flags}.items():
-            if key not in groups:
-                groups[key] = sub.add_mutually_exclusive_group()
-            groups[key].add_argument(flag, dest=key, metavar="VALUE",
-                                     help=f"{KEY_SPECS[key][2]} (sets {key})")
+            sub.add_argument(flag, dest=key, metavar="VALUE", help=f"{KEY_SPECS[key][2]} (sets {key})")
         sub.set_defaults(fn=fn)
     return parser
 

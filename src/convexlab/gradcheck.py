@@ -29,8 +29,10 @@ row equals, bit for bit, the value of that vector on its own.  Each probe
 stack is built fresh for one call, so `check_case` wraps it in a stacked
 model as it is, without the private copy `unflatten` would make.
 
-A NaN error fails the sweep: it counts as worse than any number.  `rel_error`
-gives NaN for two values below REL_ERROR_FLOOR, which no quotient resolves.
+A sweep passes when its worst errors are below the fixed bounds TOL_WEIGHTS
+and TOL_LAMBDA; no caller chooses others.  A NaN error fails the sweep: it
+counts as worse than any number.  `rel_error` gives NaN for two values below
+REL_ERROR_FLOOR, which no quotient resolves.
 """
 
 from __future__ import annotations
@@ -89,14 +91,14 @@ class GradCheckSummary:
     max_lambda_rel_err: float
     worst_weight_case: GradCheckCase
     worst_lambda_case: GradCheckCase
-    tol_weights: float
-    tol_lambda: float
     elapsed_s: float = 0.0
+    # the fixed pass bounds, for callers that report them (class attributes, not fields)
+    tol_weights = TOL_WEIGHTS
+    tol_lambda = TOL_LAMBDA
 
     @property
     def ok(self) -> bool:
-        return (self.max_weight_rel_err < self.tol_weights
-                and self.max_lambda_rel_err < self.tol_lambda)
+        return self.max_weight_rel_err < TOL_WEIGHTS and self.max_lambda_rel_err < TOL_LAMBDA
 
 
 def _check_point(x, h: float) -> np.ndarray:
@@ -294,18 +296,14 @@ def _is_worse(err: float, worst: float) -> bool:
 
 
 def run_gradcheck(num_cases: int = DEFAULT_CASES, lambdas=DEFAULT_LAMBDAS, ps=DEFAULT_PS,
-                  tol_weights: float = TOL_WEIGHTS, tol_lambda: float = TOL_LAMBDA,
                   seed: int = 0) -> GradCheckSummary:
     """Sweep num_cases configurations cycling through every (lam, p, output
     mode) cell, tracking the worst relative error of each suite; the first
-    NaN error, if any, is the worst.  A sweep that would check nothing, or
-    a tolerance that is not positive and finite, is refused."""
+    NaN error, if any, is the worst.  The sweep passes when both are below
+    TOL_WEIGHTS and TOL_LAMBDA.  A sweep that would check nothing is refused."""
     if num_cases < 1 or not len(lambdas) or not len(ps):
         raise ValueError(f"gradcheck needs at least one case, lam and p, got num_cases={num_cases} "
                          f"lambdas={tuple(lambdas)} ps={tuple(ps)}")
-    for name, tol in (("tol_weights", tol_weights), ("tol_lambda", tol_lambda)):
-        if not (np.isfinite(tol) and tol > 0):
-            raise ValueError(f"{name} must be positive and finite, got {tol}")
     t0 = time.perf_counter()
     worst_w = (-1.0, None)
     worst_l = (-1.0, None)
@@ -321,7 +319,5 @@ def run_gradcheck(num_cases: int = DEFAULT_CASES, lambdas=DEFAULT_LAMBDAS, ps=DE
         max_lambda_rel_err=worst_l[0],
         worst_weight_case=worst_w[1],
         worst_lambda_case=worst_l[1],
-        tol_weights=tol_weights,
-        tol_lambda=tol_lambda,
         elapsed_s=time.perf_counter() - t0,
     )

@@ -325,7 +325,7 @@ def serialize_model(model: MlpModel) -> str:
 
 def deserialize_model(text: str) -> MlpModel:
     """The model `serialize_model` wrote; only blank lines may follow the
-    last layer."""
+    last layer, and every parameter must be a finite double."""
     lines = text.splitlines()
     if not lines:
         raise ModelFormatError("line 1: empty model text")
@@ -359,6 +359,10 @@ def deserialize_model(text: str) -> MlpModel:
                 vals = [float.fromhex(t) for t in toks]
             except ValueError:
                 raise ModelFormatError(f"line {ln + 1}: invalid hexadecimal float") from None
+            except OverflowError:  # e.g. 0x1p+1024
+                vals = [np.inf]
+            if not np.isfinite(vals).all():
+                raise ModelFormatError(f"line {ln + 1}: parameters must be finite doubles")
             w[r] = vals[:-1]
             b[r] = vals[-1]
             ln += 1

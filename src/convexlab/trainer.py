@@ -7,8 +7,9 @@
                  lam**p * max(c) fits under EXP_CAP
     anrat      - joint SGD on (W, lam) with the lam**(-q) penalty
 
-plus hold-out evaluation, grid search over (learning rate, penalty weight),
-and a fixed stagnancy verdict (STAGNANCY_WINDOW, STAGNANCY_MIN_REL_IMPROVEMENT).
+plus hold-out evaluation, grid search (`grid_search` trains the list of
+(learning rate, penalty weight) points that `grid_configs` builds), and a
+fixed stagnancy verdict (STAGNANCY_WINDOW, STAGNANCY_MIN_REL_IMPROVEMENT).
 An epoch has one divergence exit, `DivergedError` (batch -1: the evaluation).
 
 `TrainConfig` checks every field by one rule whatever the strategy, and
@@ -28,7 +29,8 @@ every step, before and after it, applies the nrae weights with the
 unscaled learning rate (see `sgd_step`).
 
 `train` takes the output mode from the training targets (`output_mode_for`
-in `network`); `evaluate` refuses data that implies another mode.
+in `network`); `evaluate` refuses data of another input width, or that
+implies another mode.
 """
 
 from __future__ import annotations
@@ -235,7 +237,10 @@ def detect_stagnancy(vals) -> bool:
 
 
 def _check_fits(model: MlpModel, dataset: SampleBatch) -> None:
-    """Refuse data whose targets imply another output mode than the model's."""
+    """Refuse data of another input width, or whose targets imply another output mode."""
+    if dataset.inputs.shape[1] != model.layer_dims[0]:
+        raise ValueError(f"the inputs have {dataset.inputs.shape[1]} features, but the model "
+                         f"takes {model.layer_dims[0]}")
     mode = output_mode_for(dataset, model.layer_dims[-1])
     if mode != model.output_mode:
         raise ValueError(f"the targets imply output mode {mode}, but the model's is {model.output_mode}")
@@ -244,7 +249,7 @@ def _check_fits(model: MlpModel, dataset: SampleBatch) -> None:
 def evaluate(model: MlpModel, dataset: SampleBatch) -> tuple:
     """(mean per-sample loss, error rate).  Error is the argmax
     misclassification fraction for classifiers and the mean squared error
-    for regression.  Refuses data of another kind than the model's."""
+    for regression.  Refuses data of another width or kind than the model's."""
     _check_fits(model, dataset)
     f = forward(model, dataset.inputs).outputs
     mean_ce = float(batch_losses(f, dataset.targets, model.output_mode).mean())
@@ -256,8 +261,9 @@ def evaluate(model: MlpModel, dataset: SampleBatch) -> tuple:
 
 def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> TrainReport:
     """Run one strategy end to end in the output mode its training targets
-    imply.  Labels the net cannot take, or validation data of another kind,
-    are refused before the first step; anything non-finite is DivergedError."""
+    imply.  Labels the net cannot take, or validation data of another width
+    or kind, are refused before the first step; anything non-finite is
+    DivergedError."""
     mode = output_mode_for(train_set, config.layer_dims[-1])
     model = init_model(config.layer_dims, config.activation, mode, config.seed)
     _check_fits(model, val_set)
@@ -345,14 +351,15 @@ def grid_configs(base_config: TrainConfig, lr_grid=DEFAULT_LR_GRID,
             for lr in lr_grid for a in a_grid]
 
 
-def grid_search(base_config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch,
-                lr_grid=DEFAULT_LR_GRID, a_grid=DEFAULT_A_GRID) -> GridSearchResult:
-    """Train the adaptive strategy once per (learning rate, penalty weight)
-    combination from base_config.lambda0, rank by the best validation loss.
-    Diverged runs are recorded but excluded from the ranking."""
+def grid_search(configs, train_set: SampleBatch, val_set: SampleBatch) -> GridSearchResult:
+    """Train each configuration (`grid_configs` builds the grid) in order and
+    rank by the best validation loss.  Diverged runs are recorded but
+    excluded from the ranking; an empty list is refused."""
+    if not configs:
+        raise ValueError("grid_search needs at least one configuration")
     scored = []
     failed = []
-    for cfg in grid_configs(base_config, lr_grid, a_grid):
+    for cfg in configs:
         lr, a = cfg.learning_rate, cfg.a
         try:
             report = train(cfg, train_set, val_set)

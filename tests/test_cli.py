@@ -60,8 +60,6 @@ rho = 0.8
 lr_grid = 1.0,0.5,0.1
 a_grid = 1.0,0.1,0.001
 gc_cases = 120
-gc_tolerance = 1e-05
-gc_tolerance_lambda = 1e-06
 gc_lambdas = 0.001,1.0,10.0,100.0
 gc_ps = 1,2
 lambdas = 1.0,2.0,4.0,8.0
@@ -179,8 +177,7 @@ class TestConfigParsing:
         shared = {
             "lr_grid": trainer.DEFAULT_LR_GRID, "a_grid": trainer.DEFAULT_A_GRID,
             "gc_lambdas": gradcheck.DEFAULT_LAMBDAS, "gc_ps": gradcheck.DEFAULT_PS,
-            "gc_cases": gradcheck.DEFAULT_CASES, "gc_tolerance": gradcheck.TOL_WEIGHTS,
-            "gc_tolerance_lambda": gradcheck.TOL_LAMBDA,
+            "gc_cases": gradcheck.DEFAULT_CASES,
             "activation": fields["activation"], "lambda0": fields["lambda0"], "p": fields["p"],
             "a": fields["a"], "q": fields["q"], "rho": fields["rho"],
             "scan_samples": convexity.SCAN_SAMPLES, "target_scale": convexity.TARGET_SCALE,
@@ -190,11 +187,41 @@ class TestConfigParsing:
             assert default == value and type(default) is type(value), key
         run_defaults = inspect.signature(gradcheck.run_gradcheck).parameters
         assert run_defaults["num_cases"].default == KEY_SPECS["gc_cases"][0]
-        assert run_defaults["tol_weights"].default == KEY_SPECS["gc_tolerance"][0]
-        assert run_defaults["tol_lambda"].default == KEY_SPECS["gc_tolerance_lambda"][0]
         assert run_defaults["lambdas"].default == KEY_SPECS["gc_lambdas"][0]
         assert run_defaults["ps"].default == KEY_SPECS["gc_ps"][0]
         assert KEY_SPECS["preset"][1]("logistic") == "logistic"
+
+    def test_each_flag_sets_its_own_key(self):
+        for name, (_, _, flags) in cli.COMMANDS.items():
+            keys = list({**cli.COMMON_FLAGS, **flags}.values())
+            assert len(keys) == len(set(keys)), name
+
+    @pytest.mark.parametrize("argv, named", [
+        (["gridsearch", "--lr-grid", "0.1,0.05"], "unrecognized arguments: --lr-grid"),
+        (["gridsearch", "--a-grid", "0.1"], "unrecognized arguments: --a-grid"),
+        (["gradcheck", "--tolerance", "1e-3"], "unrecognized arguments: --tolerance"),
+        (["gradcheck", "--tolerance-lambda", "1e-3"], "unrecognized arguments: --tolerance-lambda"),
+        (["gradcheck", "--set", "gc_tolerance=1e-05"], "unknown key 'gc_tolerance'"),
+        (["gradcheck", "--set", "gc_tolerance_lambda=1e-06"], "unknown key 'gc_tolerance_lambda'"),
+    ], ids=["lr-grid", "a-grid", "tolerance", "tolerance-lambda", "set-gc-tolerance",
+            "set-gc-tolerance-lambda"])
+    def test_removed_flag_or_key_exit_1(self, tmp_path, capsys, monkeypatch, argv, named):
+        # the grids have one flag each, and gradcheck's pass bounds are the library's
+        checked = []
+        monkeypatch.setattr(gradcheck, "check_case", lambda case: checked.append(case))
+        monkeypatch.setattr(cli, "_load_datasets", lambda cfg: checked.append(cfg))
+        assert run(argv + ["--out", tmp_path]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert checked == []
+
+    def test_old_config_with_a_tolerance_line_exit_1(self, tmp_path, capsys):
+        # a config or echo written before the bounds were fixed runs again once the line goes
+        path = tmp_path / "old.cfg"
+        path.write_text("gc_cases = 2\ngc_tolerance = 1e-05\n")
+        assert run(["gradcheck", "--config", path]) == EXIT_CONFIG
+        assert "unknown key 'gc_tolerance'" in capsys.readouterr().err
+        path.write_text("gc_cases = 2\n")
+        assert run(["gradcheck", "--config", path]) == EXIT_OK
 
     def test_all_defaults_echo(self):
         # the echo of an all-defaults run, as it has always read
@@ -451,6 +478,19 @@ class TestEvalCommand:
         assert f"line {len(text.splitlines()) + 1}: unexpected content after the last layer" in captured.err
         assert "test:" not in captured.out
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "0x1p+1024"])
+    def test_eval_of_a_non_finite_parameter_exit_1(self, tmp_path, capsys, token):
+        # float.fromhex reads nan and inf, which evaluate to nan or, through a
+        # saturated tanh, to a plausible loss, and overflows past the double range
+        lines = serialize_model(init_model([1, 4, 1], "tanh", "identity-squared", seed=0)).splitlines()
+        lines[2] = " ".join([token] + lines[2].split()[1:])
+        path = tmp_path / "bad.model.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["eval", "--model", path, "--out", tmp_path] + SINE_TRAIN) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 3: parameters must be finite doubles\n"
+        assert "test:" not in captured.out
+
     def test_eval_requires_model(self, tmp_path):
         rc = run(["eval", "--out", tmp_path] + SINE_TRAIN)
         assert rc == EXIT_CONFIG
@@ -490,14 +530,9 @@ class TestGridsearchCommand:
         assert run(["gridsearch", "--config", out1 / "g.resolved.cfg", "--out", out2]) == EXIT_OK
         assert (out1 / "g.grid.csv").read_bytes() == (out2 / "g.grid.csv").read_bytes()
 
-    def test_conflicting_flags_exit_1(self, tmp_path):
-        rc = run(["gridsearch", "--lr", "0.05", "--lr-grid", "0.1,0.05",
-                  "--out", tmp_path] + self.GRID_ARGS)
-        assert rc == EXIT_CONFIG
-
     def test_custom_grids_row_count(self, tmp_path):
         out = tmp_path / "out"
-        rc = run(["gridsearch", "--lr-grid", "0.1,0.05", "--a-grid", "0.1,0.001",
+        rc = run(["gridsearch", "--lr", "0.1,0.05", "--a", "0.1,0.001",
                   "--seed", "2", "--out", out, "--run-name", "g4"] + self.GRID_ARGS)
         assert rc == EXIT_OK
         rows = (out / "g4.grid.csv").read_text().splitlines()
@@ -516,8 +551,15 @@ class TestGradcheckCommand:
         assert printed(["--lambda", "100", "--p", "2"]) == \
             printed(["--set", "gc_lambdas=100", "--set", "gc_ps=2"])
 
-    def test_tolerance_below_noise_floor_fails(self):
-        assert run(["gradcheck", "--tolerance", "1e-13", "--set", "gc_cases=6"]) == EXIT_VERIFICATION
+    def test_tolerance_below_noise_floor_fails(self, capsys, monkeypatch):
+        # the bound is the library's; a finite error over it fails the sweep
+        real = gradcheck.check_case
+        monkeypatch.setattr(gradcheck, "check_case",
+                            lambda case: (2 * gradcheck.TOL_WEIGHTS, real(case)[1]))
+        assert run(["gradcheck", "--set", "gc_cases=3"]) == EXIT_VERIFICATION
+        captured = capsys.readouterr()
+        assert "max weight-gradient relative error: 2.000e-05 (tolerance 1e-05)" in captured.out
+        assert "PASS" not in captured.out and "worst weight case:" in captured.err
 
     def test_nan_error_exit_4(self, capsys, monkeypatch):
         real = gradcheck.check_case
@@ -542,18 +584,10 @@ class TestGradcheckCommand:
         (["--set", "gc_cases=-2"], "at least one"),
         (["--lambda="], "at least one"),
         (["--p="], "at least one"),
-        (["--tolerance", "inf", "--tolerance-lambda", "inf"], "tol_weights must be positive and finite"),
-        (["--tolerance", "0"], "tol_weights must be positive and finite"),
-        (["--tolerance", "nan"], "tol_weights must be positive and finite"),
-        (["--tolerance-lambda", "inf"], "tol_lambda must be positive and finite"),
-        (["--tolerance-lambda", "0"], "tol_lambda must be positive and finite"),
-        (["--tolerance-lambda", "nan"], "tol_lambda must be positive and finite"),
-    ], ids=["zero-cases", "negative-cases", "no-lambdas", "no-ps", "inf-tolerances",
-            "zero-tolerance", "nan-tolerance", "inf-tolerance-lambda", "zero-tolerance-lambda",
-            "nan-tolerance-lambda"])
+    ], ids=["zero-cases", "negative-cases", "no-lambdas", "no-ps"])
     def test_empty_sweep_exit_1(self, capsys, monkeypatch, args, named):
-        # a sweep that checks nothing, or passes or fails whatever the
-        # errors, must not print PASS or blame the code; no case runs
+        # a sweep that checks nothing must not print PASS or blame the
+        # code; no case runs
         checked = []
         monkeypatch.setattr(gradcheck, "check_case", lambda case: checked.append(case))
         assert run(["gradcheck"] + args) == EXIT_CONFIG

@@ -500,6 +500,15 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="line 3"):
             deserialize_model("\n".join(lines))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "0x1p+1024"])
+    def test_non_finite_parameter_refused(self, token):
+        # float.fromhex takes nan and inf, and overflows past the double range
+        m = init_model([2, 2], "tanh", "softmax-ce", seed=0)
+        lines = serialize_model(m).splitlines()
+        lines[3] = " ".join(lines[3].split()[:-1] + [token])
+        with pytest.raises(ModelFormatError, match="line 4: parameters must be finite doubles"):
+            deserialize_model("\n".join(lines))
+
 
     def test_content_after_the_last_layer_refused(self):
         text = serialize_model(init_model([2, 3, 1], "tanh", "identity-squared", seed=0))

@@ -16,6 +16,7 @@ from convexlab.trainer import (
     anrat_lambda_step,
     detect_stagnancy,
     evaluate,
+    grid_configs,
     grid_search,
     scheduled_update,
     sgd_step,
@@ -417,6 +418,18 @@ class TestTrainLoop:
             train(cfg, SampleBatch(full.inputs, np.arange(40) % 4), labels)
         assert steps == []
 
+    def test_val_set_of_another_width_refused_before_first_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(trainer, "sgd_step", lambda *a: steps.append(a))
+        rng = np.random.default_rng(0)
+        cfg = TrainConfig(strategy="ce", learning_rate=0.1, epochs=1, batch_size=10,
+                          layer_dims=(16, 4, 1), seed=0)
+        wide = SampleBatch(rng.normal(size=(100, 16)), rng.normal(size=100))
+        narrow = SampleBatch(rng.normal(size=(20, 8)), rng.normal(size=20))
+        with pytest.raises(ValueError, match="the inputs have 8 features, but the model takes 16"):
+            train(cfg, wide, narrow)
+        assert steps == []
+
     def test_config_validation(self):
         good = dict(learning_rate=0.1, epochs=1, batch_size=10, layer_dims=(4, 2))
         # a config validates itself when built, and on request
@@ -577,12 +590,12 @@ class TestGridSearch:
         tr, va, _ = blobs_splits(n=600)
         base = TrainConfig(strategy="anrat", learning_rate=0.1, epochs=2, batch_size=50,
                            layer_dims=BLOBS_NET, seed=4)
-        result = grid_search(base, tr, va)
+        result = grid_search(grid_configs(base), tr, va)
         assert len(result.rows) == 9
         ok_vals = [r.best_val_ce for r in result.rows if r.status == "ok"]
         assert ok_vals == sorted(ok_vals)
         assert result.best_row is result.rows[0]
-        again = grid_search(base, tr, va)
+        again = grid_search(grid_configs(base), tr, va)
         assert [(r.lr, r.a, r.best_val_ce) for r in again.rows] == \
                [(r.lr, r.a, r.best_val_ce) for r in result.rows]
 
@@ -590,7 +603,7 @@ class TestGridSearch:
         tr, va, _ = blobs_splits(n=400)
         base = TrainConfig(strategy="anrat", learning_rate=0.1, epochs=1, batch_size=40,
                            layer_dims=BLOBS_NET, seed=4)
-        result = grid_search(base, tr, va, lr_grid=(0.5,), a_grid=(0.1,))
+        result = grid_search(grid_configs(base, (0.5,), (0.1,)), tr, va)
         assert len(result.rows) == 1
         assert (result.rows[0].lr, result.rows[0].a) == (0.5, 0.1)
 
@@ -606,7 +619,7 @@ class TestGridSearch:
             return real_train(cfg, *args)
 
         monkeypatch.setattr(trainer, "train", recording)
-        grid_search(base, tr, va, lr_grid=(0.5,), a_grid=(0.1, 1.0))
+        grid_search(grid_configs(base, (0.5,), (0.1, 1.0)), tr, va)
         assert seen == [("anrat", 5.0)] * 2
 
     def test_bad_point_refused_before_training(self, monkeypatch):
@@ -616,7 +629,15 @@ class TestGridSearch:
         seen = []
         monkeypatch.setattr(trainer, "train", lambda cfg, *args: seen.append(cfg))
         with pytest.raises(ValueError, match="a must be"):
-            grid_search(base, tr, va, lr_grid=(0.5,), a_grid=(0.1, -1.0))
+            grid_search(grid_configs(base, (0.5,), (0.1, -1.0)), tr, va)
+        assert seen == []
+
+    def test_empty_list_refused(self, monkeypatch):
+        tr, va, _ = blobs_splits(n=400)
+        seen = []
+        monkeypatch.setattr(trainer, "train", lambda cfg, *args: seen.append(cfg))
+        with pytest.raises(ValueError, match="at least one configuration"):
+            grid_search([], tr, va)
         assert seen == []
 
     def test_all_diverged(self):
@@ -625,7 +646,7 @@ class TestGridSearch:
         base = TrainConfig(strategy="anrat", learning_rate=1.0, epochs=6, batch_size=10,
                            layer_dims=(1, 8, 1), seed=0)
         with np.errstate(all="ignore"), pytest.raises(NoViableModelError):
-            grid_search(base, tr, va, lr_grid=(1e6, 1e7), a_grid=(0.1,))
+            grid_search(grid_configs(base, (1e6, 1e7), (0.1,)), tr, va)
 
     def test_diverged_rows_recorded_not_ranked(self):
         full = synthetic_regression("sine", 200, 0.0, seed=0)
@@ -633,7 +654,7 @@ class TestGridSearch:
         base = TrainConfig(strategy="anrat", learning_rate=1.0, epochs=6, batch_size=10,
                            layer_dims=(1, 8, 1), seed=0)
         with np.errstate(all="ignore"):
-            result = grid_search(base, tr, va, lr_grid=(0.01, 1e7), a_grid=(0.1,))
+            result = grid_search(grid_configs(base, (0.01, 1e7), (0.1,)), tr, va)
         statuses = [r.status for r in result.rows]
         assert statuses == ["ok", "diverged"]
         assert math.isnan(result.rows[1].best_val_ce)
@@ -659,7 +680,7 @@ class TestCsvWriters:
         tr, va, _ = blobs_splits(n=400)
         base = TrainConfig(strategy="anrat", learning_rate=0.1, epochs=1, batch_size=40,
                            layer_dims=BLOBS_NET, seed=4)
-        result = grid_search(base, tr, va, lr_grid=(0.5,), a_grid=(0.1,))
+        result = grid_search(grid_configs(base, (0.5,), (0.1,)), tr, va)
         path = tmp_path / "g.csv"
         write_grid_csv(result.rows, path)
         lines = path.read_text().splitlines()
