@@ -8,7 +8,6 @@ Hessian grows with lam on desk-scale models.
 
 from .criteria import (
     EXP_CAP,
-    LAMBDA_MIN,
     CriterionParams,
     LossReport,
     NumericDomainError,
@@ -45,6 +44,7 @@ from .network import (
     weighted_backward,
 )
 from .trainer import (
+    LAMBDA_MIN,
     DivergedError,
     EpochRecord,
     NoViableModelError,

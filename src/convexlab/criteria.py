@@ -2,23 +2,30 @@
 
 Everything here is a pure function of a vector of nonnegative per-sample
 losses ``c`` (cross-entropy or squared error, the criteria do not care)
-and a parameter bundle (lam, p, a, q).  The convexified criteria are
+and a parameter bundle (lam, p, a, q).  The criteria are one exponential
+tilt of c at s = lam**p (the tilted empirical risk of TERM, tilt s):
 
-    rae(c)   = mean_i exp(lam**p * c_i)                  (unbounded, inf past float range)
-    nrae(c)  = (1/lam**p) * log rae(c)                   (log-sum-exp form, stable)
-    anrat(c) = nrae(c) + a * lam**(-q)                   (penalty resists lam -> 0)
+    nrae(c)  = (1/s) * log mean_i exp(s * c_i)       (between mean(c) and max(c))
+    rae(c)   = exp(s * nrae(c))                      (inf past double range)
+    anrat(c) = nrae(c) + a * lam**(-q)               (penalty resists lam -> 0)
+
+Its sample weights w = softmax(s * c) factor the weight gradient of nrae as
+sum_i w_i * grad(c_i), one weighted backward pass in the network module,
+and anrat's lam derivative is (p/lam) * (w.c - nrae) - a*q*lam**(-q-1).
+
+`_Tilt` evaluates the tilt of each row of a (K, m) loss stack and chooses
+once per row how to shift the exponent.  If the spread s*(max(c) - mean(c))
+is at most EXPM1_LIMIT, by the mean, through u = expm1(s*(c - mean(c))) and
+log1p, which keep the digits of nrae - mean(c) and of the gap w.c - nrae at
+small s.  Otherwise by the max: e = exp(s*(c - max(c))) is in [0, 1] at any
+finite s (past double range the product is -inf and e = 0, its limit).  The
+weights are e / sum(e) in both regimes, so all of it is finite at every lam
+that `CriterionParams` accepts, but rae past double range.
 
 `evaluate_criterion` is the one evaluation path of every kind: it checks
-the losses once and returns the value, the gradient weights and (anrat)
-the lam derivative together.  RAE has no cap there: past float range its
-value is inf, which the trainer reports as divergence.
-
-The gradient of nrae with respect to the weights factors through the
-per-sample losses as sum_i w_i * grad(c_i), where w_i is a softmax over
-lam**p * c_i; the network module consumes those factors in a single
-weighted backward pass.  `nrae` (also on a stack of loss vectors) and
-`sample_weights` evaluate one of them alone, for the finite-difference
-oracles and the convexity scan.
+the losses once and reads the value, the weights and (anrat) the lam
+derivative off one tilt.  `nrae` (also on a stack) and `sample_weights`
+read one of them alone, for the finite-difference oracles and the scan.
 """
 
 from __future__ import annotations
@@ -28,15 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Training-state floor for lam.  The pure functions below accept any lam that
-# CriterionParams takes (the small-lam limit is itself a tested property);
-# the trainer clamps its lam state to this floor after every update.
-LAMBDA_MIN = 1e-3
-
 # Feasibility cap for the raw exponential criterion: exp(500) ~ 7e216 leaves
 # headroom for the batch sum inside double range.  The scheduled strategy
 # switches to rae below it, and the convexity scan reports the points past it.
 EXP_CAP = 500.0
+
+# The tilt's regime boundary on the spread s*(max(c) - mean(c)): at or below
+# it the exponent is shifted by the mean and taken through expm1/log1p.
+EXPM1_LIMIT = 50.0
 
 # Softmax weights below the smallest normal double are flushed to 0: the
 # weighted backward pass slows several-fold on subnormal products.
@@ -112,72 +118,56 @@ def _rows_where(bad) -> str:
     return f" (rows {np.flatnonzero(bad.any(axis=1)).tolist()})" if bad.ndim == 2 else ""
 
 
-def _nrae_rows(rows, s: float) -> np.ndarray:
-    # sum / m is how np.mean divides, so these are its bits
-    m = rows.shape[1]
-    cbar = rows.sum(axis=1) / m
-    z = s * (rows - cbar[:, None])
-    zmax = z.max(axis=1)
-    small = zmax <= 50.0
-    if small.all():  # the usual stack: every row on the expm1 side, no split
-        return cbar + np.log1p(np.expm1(z).sum(axis=1) / m) / s
-    corr = np.empty_like(cbar)
-    corr[small] = np.log1p(np.expm1(z[small]).sum(axis=1) / m)
-    big = ~small
-    corr[big] = zmax[big] + np.log(np.exp(z[big] - zmax[big, None]).sum(axis=1) / m)
-    return cbar + corr / s
+class _Tilt:
+    """The tilt at s of each row c of a (K, m) loss stack, with its regime
+    (`small`: on the expm1 side) decided once per row.  `value` holds each
+    row's nrae; `weights` and, for one row, `gap` read the same exponents."""
 
+    def __init__(self, rows: np.ndarray, s: float):
+        m = rows.shape[1]
+        self.rows, self.s = rows, s
+        cbar = rows.sum(axis=1) / m  # sum / m is how np.mean divides, so these are its bits
+        cmax = rows.max(axis=1)
+        self.d = rows - cbar[:, None]
+        # e = 0 is the limit of an exponent past double range, or below it;
+        # u overflows only on rows past the limit, whose value does not read it
+        with np.errstate(over="ignore", under="ignore"):
+            self.e = np.exp(s * (rows - cmax[:, None]))
+            self.small = s * (cmax - cbar) <= EXPM1_LIMIT
+            self.u = np.expm1(s * self.d)
+            self.ubar = self.u.sum(axis=1) / m
+            self.value = np.where(self.small, cbar + np.log1p(self.ubar) / s,
+                                  cmax + np.log(self.e.sum(axis=1) / m) / s)
 
-def _softmax_weights(c, s: float) -> np.ndarray:
-    z = s * c
-    z = z - z.max()
-    e = np.exp(z)
-    w = e / e.sum()
-    w[w < TINY_WEIGHT] = 0.0
-    return w
+    def weights(self) -> np.ndarray:
+        """Each row's softmax weights; one below the smallest normal double is 0."""
+        w = self.e / self.e.sum(axis=1, keepdims=True)
+        w[w < TINY_WEIGHT] = 0.0
+        return w
 
-
-def _grad_lambda(c, params: CriterionParams, w, nrae_value: float) -> float:
-    """Exact derivative of the adaptive loss with respect to lam,
-
-        (p/lam) * (sum_i w_i c_i - nrae) - a*q*lam**(-q-1),
-
-    from the softmax weights w and nrae of c, which are read on the
-    log-sum-exp side only.  The first term is the gap between the
-    exponentially weighted mean loss and the criterion, hence >= 0."""
-    lam, p, a, q = float(params.lam), int(params.p), float(params.a), int(params.q)
-    s = params.scale
-    d = c - c.mean()
-    if s * float(d.max()) <= 50.0:
+    def gap(self, w: np.ndarray) -> float:
+        """sum_i w_i c_i - nrae of a one-row tilt with weights w: the gap
+        between the exponentially weighted mean loss and the criterion, >= 0."""
+        if not self.small[0]:
+            return float(np.dot(w, self.rows[0])) - float(self.value[0])
         # Both terms of the gap are ~mean(c) while the gap itself is
         # ~s*var(c)/2, so at small s their difference loses every digit it
         # has.  In d = c - mean(c) and u = expm1(s*d), with w_i = (1 + u_i) /
         # (m*(1 + mean(u))), the gap is a sum of terms of its own size.
-        u = np.expm1(s * d)
-        ubar = float(u.mean())
-        gap = (float(np.dot(u - ubar, d)) / (c.size * (1.0 + ubar))
-               + float(d.mean()) - float(np.log1p(ubar)) / s)
-    else:
-        gap = float(np.dot(w, c)) - nrae_value
-    return (p / lam) * gap - a * q * params.lam_neg_q1
+        u, d, ubar = self.u[0], self.d[0], float(self.ubar[0])
+        return (float(np.dot(u - ubar, d)) / (d.size * (1.0 + ubar))
+                + float(d.mean()) - float(np.log1p(ubar)) / self.s)
 
 
 def nrae(losses, params: CriterionParams) -> float | np.ndarray:
-    """(1/lam**p) * log rae, computed as a log-sum-exp so it is finite for
-    arbitrarily large lam**p * c_i.  Bounded between mean(c) and max(c).
-
-    Evaluated relative to the mean loss: nrae = mean(c) + corr/s with
-    corr = log mean(exp(s*(c - mean))).  For small exponents corr is taken
-    through expm1/log1p, otherwise the 1/s factor would amplify the
-    cancellation in log(1 - eps) and poison finite-difference oracles.
+    """(1/lam**p) * log rae, finite at any lam**p * c_i and between mean(c)
+    and max(c).  Near the mean it is taken through expm1/log1p: 1/s would
+    amplify the cancellation in log(1 - eps) and poison FD oracles.
 
     A vector gives a float; a (K, m) stack of loss vectors gives an array of
-    K values, each equal bit for bit to nrae of its row.  A stack whose rows
-    all take the expm1 form, the usual case, is evaluated whole; only a
-    stack with rows on both sides is split by regime.
-    """
+    K values, each equal bit for bit to nrae of its row."""
     c = _check_losses(losses, stacked=True)
-    value = _nrae_rows(c.reshape(-1, c.shape[-1]), params.scale)
+    value = _Tilt(c.reshape(-1, c.shape[-1]), params.scale).value
     return float(value[0]) if c.ndim == 1 else value
 
 
@@ -185,7 +175,7 @@ def sample_weights(losses, params: CriterionParams) -> np.ndarray:
     """Softmax over lam**p * c_i: the per-sample factors whose weighted sum
     of loss gradients is the full criterion gradient with respect to W.
     A weight below the smallest normal double is returned as exactly 0."""
-    return _softmax_weights(_check_losses(losses), params.scale)
+    return _Tilt(_check_losses(losses)[None, :], params.scale).weights()[0]
 
 
 def evaluate_criterion(losses, kind: str, params: CriterionParams) -> LossReport:
@@ -193,10 +183,10 @@ def evaluate_criterion(losses, kind: str, params: CriterionParams) -> LossReport
     loss vector, bundling the value, the plain CE mean, the gradient
     weights, and (anrat) the lam derivative.
 
-    One pass: the losses are checked once, and the softmax weights and nrae
-    are computed once and shared by the anrat value and lam derivative.
-    The 'rae' kind reports the raw mean(exp(lam**p * c_i)) with no cap,
-    inf past float range, and the weights of 'nrae' (its gradient is
+    One pass: the losses are checked once and tilted once; the value, the
+    weights and the lam derivative all read that tilt.  The 'rae' kind
+    reports exp(lam**p * nrae) = mean(exp(lam**p * c_i)) with no cap, inf
+    past double range, and the weights of 'nrae' (its gradient is
     lam**p * rae times theirs).
     """
     c = _check_losses(losses)
@@ -207,13 +197,14 @@ def evaluate_criterion(losses, kind: str, params: CriterionParams) -> LossReport
     if kind not in ("rae", "nrae", "anrat"):
         raise ValueError(f"unknown criterion kind {kind!r}")
     s = params.scale
-    w = _softmax_weights(c, s)
+    tilt = _Tilt(c[None, :], s)
+    w = tilt.weights()[0]
+    value = float(tilt.value[0])
     if kind == "rae":
-        with np.errstate(over="ignore"):  # inf past float range: divergence to the trainer
-            return LossReport(float(np.mean(np.exp(s * c))), ce, w, max_loss=cmax)
-    value = float(_nrae_rows(c[None, :], s)[0])
+        with np.errstate(over="ignore"):  # inf past double range: divergence to the trainer
+            return LossReport(float(np.exp(s * value)), ce, w, max_loss=cmax)
     if kind == "nrae":
         return LossReport(value, ce, w, max_loss=cmax)
-    penalty = params.a * params.lam_neg_q
-    return LossReport(value + penalty, ce, w,
-                      lambda_grad=_grad_lambda(c, params, w, value), max_loss=cmax)
+    lam, p, a, q = float(params.lam), int(params.p), float(params.a), int(params.q)
+    lambda_grad = (p / lam) * tilt.gap(w) - a * q * params.lam_neg_q1
+    return LossReport(value + a * params.lam_neg_q, ce, w, lambda_grad=lambda_grad, max_loss=cmax)

@@ -110,9 +110,6 @@ class MlpModel:
     def num_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "MlpModel":
-        return replace(self, theta=self.theta.copy())
-
 
 @dataclass
 class ForwardCache:

@@ -43,7 +43,6 @@ import numpy as np
 
 from .criteria import (
     EXP_CAP,
-    LAMBDA_MIN,
     CriterionParams,
     NumericDomainError,
     evaluate_criterion,
@@ -66,7 +65,9 @@ from .seeds import epoch_seed
 CRITERION_KINDS = {"ce": "ce", "nrae-fixed": "nrae", "scheduled": "nrae", "anrat": "anrat"}
 STRATEGIES = tuple(CRITERION_KINDS)
 
-# the lam floor of each strategy that moves lam; a lambda0 below it is refused
+# the lam floor of each strategy that moves lam; a lambda0 below it is
+# refused, and `anrat_lambda_step` clamps anrat's lam state to LAMBDA_MIN
+LAMBDA_MIN = 1e-3
 LAMBDA_FLOORS = {"scheduled": 1.0, "anrat": LAMBDA_MIN}
 
 # the stagnancy verdict of every run (see detect_stagnancy)
@@ -272,7 +273,7 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
     records = []
     best_epoch = -1
     best_val = np.inf
-    best_model = model.copy()
+    best_model = model
     max_loss_seen = 0.0
     for ep in range(config.epochs):
         t0 = time.perf_counter()
@@ -318,7 +319,7 @@ def train(config: TrainConfig, train_set: SampleBatch, val_set: SampleBatch) -> 
         if val_ce < best_val:
             best_val = val_ce
             best_epoch = ep
-            best_model = model.copy()
+            best_model = model
 
     stagnant = detect_stagnancy([r.val_ce for r in records])
     return TrainReport(records, best_epoch, best_model, stagnant, model, lam)

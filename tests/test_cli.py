@@ -696,14 +696,14 @@ class TestNumericRefusals:
         (["scan", "--net", "1,3,1", "--points", "1", "--box-radius", "1e300"],
          "point 0, box_radius 1e+300, lambdas [1.0, 2.0, 4.0, 8.0]: losses contain non-finite entries"),
         (["scan", "--net", "1,3,1", "--lambdas", "1,1e308", "--points", "3"],
-         "point 0, box_radius 1.0, lambdas [1.0, 1e+308]: objective returned"),
+         "point 0, box_radius 1.0, lambdas [1.0, 1e+308]: non-finite Hessian"),
         (["scan", "--net", "1,3,1", "--lambdas", "1,1e306", "--points", "20"],
          "box_radius 1.0, lambdas [1.0, 1e+306]: non-finite Hessian"),
         (["train", "--strategy", "ce", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
         (["gradcheck", "--seed", "-1", "--set", "gc_cases=2"], "seed must be >= 0, got -1"),
         (["scan", "--net", "1,3,1", "--seed", "-1"], "seed must be >= 0, got -1"),
     ], ids=["train-lambda-overflow", "gradcheck-lambda-overflow", "gradcheck-lambda-underflow",
-            "gradcheck-penalty-overflow", "scan-lambda-overflow", "scan-huge-box", "scan-nan-weights",
+            "gradcheck-penalty-overflow", "scan-lambda-overflow", "scan-huge-box", "scan-gauss-newton-overflow",
             "scan-inf-hessian", "train-negative-seed", "gradcheck-negative-seed", "scan-negative-seed"])
     def test_exit_1_with_one_error_line(self, tmp_path, capsys, monkeypatch, argv, named):
         loads = []

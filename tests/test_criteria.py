@@ -9,7 +9,6 @@ import pytest
 import convexlab.criteria as criteria
 from convexlab.criteria import (
     EXP_CAP,
-    LAMBDA_MIN,
     CriterionParams,
     NumericDomainError,
     evaluate_criterion,
@@ -17,6 +16,7 @@ from convexlab.criteria import (
     sample_weights,
 )
 from convexlab.gradcheck import fd_lambda_gradient
+from convexlab.trainer import LAMBDA_MIN
 
 LN2 = math.log(2.0)
 
@@ -126,8 +126,8 @@ class TestSampleWeights:
 
     @staticmethod
     def _unflushed(c, s):
-        z = s * np.asarray(c, dtype=float)
-        e = np.exp(z - z.max())
+        c = np.asarray(c, dtype=float)
+        e = np.exp(s * (c - c.max()))
         return e / e.sum()
 
     def test_subnormal_weights_flushed(self):
@@ -308,6 +308,79 @@ class TestLossReport:
         assert np.array_equal(rep.sample_weights, sample_weights(c, pr))
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= np.finfo(float).maxexp,
+                    reason="the reference needs long double's exponent range")
+class TestEveryLambda:
+    """nrae, its weights, rae and the lam derivative where lam**p * c passes
+    double range, against a long-double softmax (s*c fits up to ~1e4932)."""
+
+    LD = np.longdouble
+    LOG_DBL_MAX = math.log(np.finfo(float).max)
+
+    @classmethod
+    def _reference(cls, c, lam):
+        # (nrae, weights, log rae) by the classic softmax: scaled, then shifted
+        z = cls.LD(lam) * c.astype(cls.LD)
+        e = np.exp(z - z.max())
+        log_rae = z.max() + np.log(e.sum() / c.size)
+        return log_rae / cls.LD(lam), e / e.sum(), log_rae
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(23)
+        yield np.array([2.0, 2.1, 2.5]), 1e308
+        for lam in (1e-3, 1.0, 100.0, 1e4, 1e100, 1e300, 1e308):
+            yield rng.uniform(0, 6, size=7), lam
+        for _ in range(400):
+            c = rng.uniform(0, 6, size=rng.integers(1, 30))
+            c[rng.random(c.size) < 0.2] = c.max()  # ties at the max
+            yield c, float(10 ** rng.uniform(-3, 308))
+
+    def test_against_long_double(self):
+        for c, lam in self._cases():
+            pr = params(lam, a=0.1)
+            ref_value, ref_w, log_rae = self._reference(c, lam)
+            with np.errstate(over="raise", invalid="raise"):
+                v, w = nrae(c, pr), sample_weights(c, pr)
+                reps = {k: evaluate_criterion(c, k, pr) for k in ("nrae", "anrat", "rae")}
+            tol = 1e-15 * c.max()
+            assert c.mean() - tol <= v <= c.max() + tol
+            assert abs(v - float(ref_value)) <= 1e-13 * c.max()
+            assert abs(w.sum() - 1.0) <= 1e-12
+            normal = ref_w >= np.finfo(float).tiny
+            assert np.all(w[~normal] == 0.0)
+            assert np.all(np.abs(w[normal] - ref_w[normal]) <= 1e-12 * ref_w[normal])
+            for rep in reps.values():
+                assert np.array_equal(rep.sample_weights, w)
+            assert reps["nrae"].criterion_value == v
+            assert reps["anrat"].criterion_value == v + 0.1 * pr.lam_neg_q
+            # (1/lam) * (sum_i w_i c_i - nrae) - 0.1/lam**2, whose gap is
+            # read to the scale of the losses it cancels
+            ref_gap = np.dot(ref_w, c.astype(self.LD)) - ref_value
+            ref_grad = float(ref_gap / self.LD(lam) - self.LD(0.1) / self.LD(lam) ** 2)
+            grad = reps["anrat"].lambda_grad
+            assert abs(grad - ref_grad) <= 1e-12 * c.max() / lam + np.finfo(float).tiny
+            rae = reps["rae"].criterion_value
+            if log_rae < self.LOG_DBL_MAX - 1e-6:
+                assert abs(rae - float(np.exp(log_rae))) <= 1e-12 * rae
+            elif log_rae > self.LOG_DBL_MAX + 1e-6:
+                assert rae == math.inf
+
+    def test_stack_across_the_regime_boundary_matches_rows(self):
+        pr = params(1e308)
+        stack = np.array([[2.0, 2.1, 2.5], [0.0, 1e-307, 2e-307], [0.0, 6.0, 3.0],
+                          [1.5, 1.5, 1.5], [0.0, 1e-306, 5e-306]])
+        with np.errstate(over="ignore"):
+            spread = pr.scale * (stack.max(axis=1) - stack.mean(axis=1))
+        assert list(spread <= criteria.EXPM1_LIMIT) == [False, True, False, True, False]
+        with np.errstate(over="raise", invalid="raise"):
+            values = nrae(stack, pr)
+            rows = [nrae(row, pr) for row in stack]
+        for value, row, c in zip(values, rows, stack):
+            assert value.tobytes() == np.float64(row).tobytes()
+            assert c.mean() <= row <= c.max()
+
+
 class TestParamsValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -334,7 +407,7 @@ class TestParamsValidation:
         assert np.isfinite(pr.scale) and pr.scale >= np.finfo(float).tiny and np.isfinite(pr.lam_neg_q1)
 
     def test_powers_equal_the_inline_expressions_bit_for_bit(self):
-        # the expressions evaluate_criterion, _grad_lambda and scheduled_update
+        # the expressions evaluate_criterion, its lam derivative and scheduled_update
         # used before the powers were stored
         c = np.array([0.3, 1.7, 0.05, 2.2])
         for lam in (1e-3, 0.037, 0.5, 1.0, 3.3, 10.0, 123.456, 1e5, 7.6e-155 * 3):

@@ -424,7 +424,7 @@ class TestThetaLength:
 class TestParameterBuffer:
     def test_layer_views_share_theta(self):
         m = init_model([3, 7, 2], "tanh", "softmax-ce", seed=9)
-        for model in (m, unflatten(m, m.theta), deserialize_model(serialize_model(m)), m.copy()):
+        for model in (m, unflatten(m, m.theta), deserialize_model(serialize_model(m))):
             assert model.theta.shape == (m.param_count,)
             assert all(np.shares_memory(a, model.theta) for a in model.weights + model.biases)
         m.weights[1][0, 0] = 5.0
@@ -449,15 +449,6 @@ class TestParameterBuffer:
             before = m2.theta.copy()
             v += 1.0
             assert np.array_equal(m2.theta, before)
-
-    def test_copy_is_independent(self):
-        m = init_model([3, 7, 2], "tanh", "softmax-ce", seed=9)
-        c = m.copy()
-        assert not np.shares_memory(c.theta, m.theta)
-        before = m.theta.copy()
-        c.weights[0][0, 0] += 1.0
-        c.biases[1][:] = 9.0
-        assert np.array_equal(m.theta, before)
 
 
 class TestSerialization:

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import convexlab.trainer as trainer
-from convexlab.criteria import EXP_CAP, LAMBDA_MIN, CriterionParams, NumericDomainError, sample_weights
+from convexlab.criteria import EXP_CAP, CriterionParams, NumericDomainError, sample_weights
 from convexlab.data import SampleBatch, synthetic_blobs, synthetic_regression
 from convexlab.network import MAX_CLAMPED_LOSS, batch_losses, forward, init_model, weighted_backward
 from convexlab.seeds import rng_for
 from convexlab.trainer import (
+    LAMBDA_MIN,
     DivergedError,
     NoViableModelError,
     TrainConfig,
@@ -506,18 +507,20 @@ class TestTrainLoop:
                 0.15063082449978532, 10.0, False),
                (0.1724352151010617, 0.1724352151010617, 0.10875528889546553,
                 0.10875528889546553, 10.0, False)],
-        "nrae-fixed": [(1.5634645780479435, 0.7597336153363207, 0.35472651920378484,
-                        0.35472651920378484, 10.0, False),
-                       (0.2750513462353408, 0.17184003314894136, 0.10710462349915802,
-                        0.10710462349915802, 10.0, False)],
-        "scheduled": [(1.7523097947403248, 0.8276378953145016, 0.5493932649124846,
+        # the tilt's max-shifted exponent moved these by at most 6.3e-15
+        # relative (scheduled's raw rae value); ce's bits did not move
+        "nrae-fixed": [(1.5634645780479435, 0.7597336153363207, 0.3547265192037847,
+                        0.3547265192037847, 10.0, False),
+                       (0.27505134623534067, 0.1718400331489413, 0.10710462349915814,
+                        0.10710462349915814, 10.0, False)],
+        "scheduled": [(1.752309794740325, 0.8276378953145016, 0.5493932649124846,
                        0.5493932649124846, 80.0, True),
-                      (6.699868194745247e+44, 0.2706944188193418, 0.2601658012771137,
+                      (6.699868194745205e+44, 0.2706944188193418, 0.2601658012771137,
                        0.2601658012771137, 80.0, True)],
-        "anrat": [(1.5734297574941856, 0.7597330970985687, 0.3547217853675456,
-                   0.3547217853675456, 9.993789833631828, False),
-                  (0.2849447180112244, 0.1718101258036431, 0.10705369636994069,
-                   0.10705369636994069, 9.990734052708579, False)],
+        "anrat": [(1.573429757494186, 0.7597330970985687, 0.3547217853675458,
+                   0.3547217853675458, 9.993789833631828, False),
+                  (0.28494471801122445, 0.17181012580364313, 0.10705369636994082,
+                   0.10705369636994082, 9.990734052708579, False)],
     }
 
     @pytest.mark.parametrize("strategy", trainer.STRATEGIES)
@@ -531,6 +534,20 @@ class TestTrainLoop:
         got = [(r.train_criterion, r.train_ce, r.val_ce, r.val_error, r.lam, r.switched_to_rae)
                for r in rep.records]
         assert got == self.PINNED_RECORDS[strategy]
+
+    @pytest.mark.parametrize("strategy", ["nrae-fixed", "anrat", "scheduled"])
+    def test_lambda_past_double_range_in_the_exponent_trains(self, strategy):
+        # lam**p * c is far past double range, but the tilt, its weights and
+        # lam derivative are finite: no divergence at the first batch
+        full = synthetic_blobs(120, num_classes=10, dim=4, seed=0)
+        tr, va = full.take(range(80)), full.take(range(80, 120))
+        cfg = TrainConfig(strategy=strategy, learning_rate=0.1, epochs=2, batch_size=20,
+                          layer_dims=(4, 8, 10), lambda0=1e308)
+        rep = train(cfg, tr, va)
+        assert len(rep.records) == 2 and np.isfinite(rep.final_lambda)
+        for r in rep.records:
+            assert all(np.isfinite(v) for v in (r.train_criterion, r.train_ce, r.val_ce, r.lam))
+            assert r.train_ce <= r.train_criterion
 
 
 class TestIntegrationSurrogate:
