@@ -1,7 +1,7 @@
-"""Empirical convexity-region measurement for tiny models: central
-finite-difference Hessians over the flat parameter vector (from the FD
-oracles in `gradcheck`), a LAPACK eigensolve, and lam-sweep scans of the
-positive-semidefinite fraction over sampled points in weight space.
+"""Empirical convexity-region measurement for tiny models: Hessians from
+central differences of the network's exact gradient, a LAPACK eigensolve,
+and lam-sweep scans of the positive-semidefinite fraction over sampled
+points in weight space.
 
 The Hessian of the raw criterion rae(c) = mean(exp(s * c)), s = lam**p,
 factors exactly as
@@ -11,27 +11,40 @@ factors exactly as
 with g_i and H_i the gradient and Hessian of the per-sample loss c_i.  The
 scan takes the bracket, which has the same PSD verdict: its entries are
 bounded by s * max|g_i|^2 + max|H_i|, and nothing past the softmax is
-exponentiated.  A non-finite loss, probe or Hessian stops the scan.  The
-PSD slack comes from the FD part sum_i w_i H_i and the eigensolver only,
-never from the Gauss-Newton term, which is PSD by construction.
+exponentiated.  The g_i are exact: the rows of one `weighted_backward` call
+on the identity's rows.  Each sum_i w_i H_i is the symmetrised central
+difference (gradcheck's `fd_gradient`) of theta -> sum_i w_i g_i(theta),
+the backward pass on the centre's weight rows: 2n backward probes a point,
+where FD of loss values took 2n**2 + 1.  A non-finite loss, gradient or
+Hessian stops the scan.  The PSD slack comes from the FD part
+sum_i w_i H_i and the eigensolver only, never from the Gauss-Newton term,
+which is PSD by construction.
+
+The backward pass differentiates the unclamped loss, so a point where a
+cross-entropy loss sits at the PROB_EPS clamp ceiling (where the loss
+itself is flat) is refused, not measured.  `fd_hessian`, FD of loss values,
+stays importable here as the independent oracle of the scan's curvature.
 
 Scans are restricted to smooth activations (tanh, sigmoid): relu kinks sit
 on measure-zero sets that finite differences straddle.  Each point's
-Hessians (base criterion and every lam) come from one FD pass, independent
-of the other points; the scan assembles results single-threaded.  It takes
-any lam that `CriterionParams` takes; `scan_problem` builds its problems.
+Hessians (base criterion and every lam) come from one pass of probes,
+independent of the other points; the scan assembles results
+single-threaded.  It takes any lam that `CriterionParams` takes;
+`scan_problem` builds its problems.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .criteria import EXP_CAP, CriterionParams, NumericDomainError, sample_weights
 from .data import SampleBatch, synthetic_regression
-from .gradcheck import DEFAULT_FD_STEP, fd_gradient, fd_hessian
+# fd_hessian is unused here, and importable from here as the oracle of the scan's curvature
+from .gradcheck import DEFAULT_FD_STEP, fd_gradient, fd_hessian  # noqa: F401
 from .network import (
+    MAX_CLAMPED_LOSS,
     MlpModel,
     _param_count,
     batch_losses,
@@ -39,6 +52,7 @@ from .network import (
     init_model,
     output_mode_for,
     unflatten,
+    weighted_backward,
 )
 from .seeds import rng_for
 
@@ -49,6 +63,9 @@ SCAN_PRESETS = ("", "logistic")
 # mean larger per-sample losses, so the tilt is strong already at small lam
 SCAN_SAMPLES = 20
 TARGET_SCALE = 6.0
+# identity rows per backward call for the per-sample gradients: the call's
+# delta is then (SAMPLE_BLOCK, m, d), not (m, m, d)
+SAMPLE_BLOCK = 64
 
 
 def psd_tolerance(hessian):
@@ -128,15 +145,23 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
     exponential criterion mean(exp(lam**p * c)) divided by lam**p * rae,
     plus the plain mean-loss Hessian for the same points.
 
-    At each point the weights W (row 0 uniform for the base criterion, row
-    k the criteria's softmax `sample_weights` at lam_k) are fixed at the
-    centre.  One FD pass of W @ c gives every sum_i w_ki H_i, one stacked
-    `fd_gradient` call gives the per-sample gradients g_i, and the
-    Gauss-Newton term s_k * sum_i w_ki g_i g_i^T (s_0 = 0) completes each
-    Hessian.  Its verdict is PSD when its smallest eigenvalue is >=
-    -(psd_tolerance(sum_i w_ki H_i) + n * eps * max|eig|).  lams must be
-    strictly ascending, each one (with p) a valid `CriterionParams`, and
-    box_radius positive with 2 * box_radius finite.
+    At each point one forward pass gives the losses c and the weights W
+    (row 0 uniform for the base criterion, row k the criteria's softmax
+    `sample_weights` at lam_k), fixed at the centre.  One backward pass on
+    the identity's rows (SAMPLE_BLOCK rows a call) gives the exact
+    per-sample gradients g_i.  `fd_gradient` of theta -> `weighted_backward`
+    (theta, W), symmetrised, gives every sum_i w_ki H_i from 2n backward
+    probes; `h` is its absolute central-difference step (it is no longer
+    scaled by 1 + |x_i|, as `fd_hessian`'s is).  The Gauss-Newton term
+    s_k * sum_i w_ki g_i g_i^T (s_0 = 0) completes each Hessian.  Its
+    verdict is PSD when its smallest eigenvalue is >=
+    -(psd_tolerance(sum_i w_ki H_i) + n * eps * max|eig|).
+
+    lams must be strictly ascending, each one (with p) a valid
+    `CriterionParams`, and box_radius positive with 2 * box_radius finite.
+    NumericDomainError, naming the point, where a loss, gradient or Hessian
+    is not finite, or where a cross-entropy loss sits at the clamp ceiling
+    MAX_CLAMPED_LOSS: the loss is flat there, and its exact gradient is not.
     """
     n = model_template.param_count
     if n > MAX_SCAN_PARAMS:
@@ -160,23 +185,34 @@ def scan_convexity(model_template: MlpModel, dataset, lambdas, num_points: int,
     tols = np.empty((len(scales), num_points))
     used_nrae = np.empty((len(lam_list), num_points), dtype=bool)
 
-    def losses(vec):
-        cache = forward(unflatten(model_template, vec), dataset.inputs)
-        return batch_losses(cache.outputs, dataset.targets, model_template.output_mode)
-
+    m = dataset.size
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
         for j, x in enumerate(points):
             try:
-                c0 = losses(x)
-                weights = np.array([np.full(c0.size, 1.0 / c0.size)]
-                                   + [sample_weights(c0, pr) for pr in params])
-                grads = fd_gradient(losses, x)
-                hess = fd_hessian(lambda v: weights @ losses(v), x, h)
+                at_x = unflatten(model_template, x)
+                cache = forward(at_x, dataset.inputs)
+                c0 = batch_losses(cache.outputs, dataset.targets, model_template.output_mode)
+                if model_template.output_mode != "identity-squared" and c0.max() >= MAX_CLAMPED_LOSS:
+                    raise NumericDomainError(
+                        f"a loss sits at the clamp ceiling {MAX_CLAMPED_LOSS:.6g}, where the exact "
+                        "gradient is the unclamped loss's and the loss itself is flat")
+                weights = np.array([np.full(m, 1.0 / m)] + [sample_weights(c0, pr) for pr in params])
+                # per-sample gradients g_i: the identity's rows, SAMPLE_BLOCK at a time
+                grads = np.concatenate([
+                    weighted_backward(at_x, dataset, np.eye(min(SAMPLE_BLOCK, m - lo), m, lo), cache)
+                    for lo in range(0, m, SAMPLE_BLOCK)])
+
+                def weighted_grads(stack):  # a fresh probe stack, wrapped without a copy
+                    return np.stack([weighted_backward(replace(model_template, theta=v), dataset,
+                                                       weights).ravel() for v in stack])
+
+                jac = fd_gradient(weighted_grads, x, h).reshape(len(weights), n, n)
+                hess = 0.5 * (jac + jac.swapaxes(-1, -2))
                 fd_tol = psd_tolerance(hess)  # before the Gauss-Newton term is added
                 hess += np.einsum("km,mi,mj->kij", scales[:, None] * weights, grads, grads)
                 if not np.all(np.isfinite(hess)):  # eigvalsh would read NaN as a verdict
                     raise NumericDomainError("non-finite Hessian")
-            except NumericDomainError as e:
+            except (NumericDomainError, FloatingPointError) as e:
                 raise NumericDomainError(f"point {j}, box_radius {box_radius}, lambdas {lam_list}: {e}")
             eigs = np.linalg.eigvalsh(hess)
             min_eigs[:, j] = eigs[:, 0]

@@ -118,26 +118,77 @@ def _rows_where(bad) -> str:
     return f" (rows {np.flatnonzero(bad.any(axis=1)).tolist()})" if bad.ndim == 2 else ""
 
 
+class _part:
+    """A `_Tilt` part, built on its first read and then stored on the tilt:
+    `functools.cached_property` without the lock it takes before Python 3.12,
+    which cost a few microseconds a tilt."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, tilt, owner=None):
+        value = tilt.__dict__[self.name] = self.build(tilt)
+        return value
+
+
 class _Tilt:
     """The tilt at s of each row c of a (K, m) loss stack, with its regime
     (`small`: on the expm1 side) decided once per row.  `value` holds each
-    row's nrae; `weights` and, for one row, `gap` read the same exponents."""
+    row's nrae; `weights` and, for one row, `gap` read the same exponents.
+    Each part is built on first read, so a reader pays for what it reads:
+    the weights for e, the value for u on expm1 rows and e on the others."""
 
     def __init__(self, rows: np.ndarray, s: float):
-        m = rows.shape[1]
-        self.rows, self.s = rows, s
-        cbar = rows.sum(axis=1) / m  # sum / m is how np.mean divides, so these are its bits
-        cmax = rows.max(axis=1)
-        self.d = rows - cbar[:, None]
-        # e = 0 is the limit of an exponent past double range, or below it;
-        # u overflows only on rows past the limit, whose value does not read it
+        self.rows, self.s, self.m = rows, s, rows.shape[1]
+
+    @_part
+    def cbar(self) -> np.ndarray:
+        return self.rows.sum(axis=1) / self.m  # sum / m is how np.mean divides, so these are its bits
+
+    @_part
+    def cmax(self) -> np.ndarray:
+        return self.rows.max(axis=1)
+
+    @_part
+    def small(self) -> np.ndarray:
+        with np.errstate(over="ignore"):  # a spread past double range is not small
+            return self.s * (self.cmax - self.cbar) <= EXPM1_LIMIT
+
+    @_part
+    def e(self) -> np.ndarray:
+        # e = 0 is the limit of an exponent past double range, or below it
         with np.errstate(over="ignore", under="ignore"):
-            self.e = np.exp(s * (rows - cmax[:, None]))
-            self.small = s * (cmax - cbar) <= EXPM1_LIMIT
-            self.u = np.expm1(s * self.d)
-            self.ubar = self.u.sum(axis=1) / m
-            self.value = np.where(self.small, cbar + np.log1p(self.ubar) / s,
-                                  cmax + np.log(self.e.sum(axis=1) / m) / s)
+            return np.exp(self.s * (self.rows - self.cmax[:, None]))
+
+    @_part
+    def d(self) -> np.ndarray:
+        return self.rows - self.cbar[:, None]
+
+    @_part
+    def u(self) -> np.ndarray:
+        # s*d <= EXPM1_LIMIT on the expm1 rows; u overflows only on the others,
+        # which `value` reads under its own errstate and `gap` never reads
+        with np.errstate(under="ignore"):
+            return np.expm1(self.s * self.d)
+
+    @_part
+    def ubar(self) -> np.ndarray:
+        return self.u.sum(axis=1) / self.m
+
+    @_part
+    def value(self) -> np.ndarray:
+        def by_mean():
+            return self.cbar + np.log1p(self.ubar) / self.s
+
+        def by_max():
+            return self.cmax + np.log(self.e.sum(axis=1) / self.m) / self.s
+
+        if self.small.all():
+            return by_mean()
+        if not self.small.any():
+            return by_max()
+        with np.errstate(over="ignore"):  # by_mean on the rows past the limit
+            return np.where(self.small, by_mean(), by_max())
 
     def weights(self) -> np.ndarray:
         """Each row's softmax weights; one below the smallest normal double is 0."""
@@ -183,26 +234,24 @@ def evaluate_criterion(losses, kind: str, params: CriterionParams) -> LossReport
     loss vector, bundling the value, the plain CE mean, the gradient
     weights, and (anrat) the lam derivative.
 
-    One pass: the losses are checked once and tilted once; the value, the
-    weights and the lam derivative all read that tilt.  The 'rae' kind
+    One pass: the losses are checked once and tilted once; the mean, the
+    value, the weights and the lam derivative all read that tilt.  The 'rae' kind
     reports exp(lam**p * nrae) = mean(exp(lam**p * c_i)) with no cap, inf
     past double range, and the weights of 'nrae' (its gradient is
     lam**p * rae times theirs).
     """
     c = _check_losses(losses)
-    ce = float(c.mean())
-    cmax = float(c.max())
+    tilt = _Tilt(c[None, :], params.scale)
+    ce, cmax = float(tilt.cbar[0]), float(tilt.cmax[0])
     if kind == "ce":
         return LossReport(ce, ce, np.full(c.size, 1.0 / c.size), max_loss=cmax)
     if kind not in ("rae", "nrae", "anrat"):
         raise ValueError(f"unknown criterion kind {kind!r}")
-    s = params.scale
-    tilt = _Tilt(c[None, :], s)
     w = tilt.weights()[0]
     value = float(tilt.value[0])
     if kind == "rae":
         with np.errstate(over="ignore"):  # inf past double range: divergence to the trainer
-            return LossReport(float(np.exp(s * value)), ce, w, max_loss=cmax)
+            return LossReport(float(np.exp(params.scale * value)), ce, w, max_loss=cmax)
     if kind == "nrae":
         return LossReport(value, ce, w, max_loss=cmax)
     lam, p, a, q = float(params.lam), int(params.p), float(params.a), int(params.q)

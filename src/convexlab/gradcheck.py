@@ -1,10 +1,13 @@
-"""Finite-difference oracles (the convexity scan's `fd_hessian` too), and
-two suites verifying the analytic derivatives against them over randomized
-(model, batch, criterion) configurations:
+"""Finite-difference oracles, and two suites verifying the analytic
+derivatives against them over randomized (model, batch, criterion)
+configurations.  The convexity scan takes its Hessians as `fd_gradient` of
+the exact weighted gradient; `fd_hessian`, second differences of loss
+values, stays as the independent oracle of that curvature.
 
-  * weight gradient: the single weighted backward pass sum_i w_i grad(c_i)
-    against central differences of the composed objective
-    criterion(losses(W)) over every flat parameter;
+  * weight gradient: the weighted backward pass sum_i w_i grad(c_i), on
+    the (2, m) stack of the anrat and uniform weight rows the scan's
+    stacked path takes, against central differences of the composed
+    objective criterion(losses(W)) over every flat parameter;
   * lam derivative: `evaluate_criterion(losses, "anrat", params).lambda_grad`,
     the very call `sgd_step` makes, against central differences of the
     adaptive loss in lam.
@@ -58,7 +61,7 @@ TOL_LAMBDA = 1e-6
 # the stacked forward pass behind it.
 FD_BLOCK = 64
 FD_STEP = 1e-6  # weight-gradient oracle's step
-DEFAULT_FD_STEP = 1e-4  # fd_hessian's base step
+DEFAULT_FD_STEP = 1e-4  # fd_hessian's base step, and the scan's step on the gradient
 MAX_HESSIAN_DIM = 200  # fd_hessian's guard on the parameter count
 LAMBDA_FD_STEP = 1e-3  # lam oracle's coarse step, relative to lam
 REL_ERROR_FLOOR = 1e-12  # the smallest derivative a comparison resolves
@@ -262,14 +265,14 @@ def check_case(case: GradCheckCase) -> tuple:
     losses = batch_losses(cache.outputs, batch.targets, model.output_mode)
     numeric, numeric_ce = fd_gradient(criteria_at, model.theta)
 
-    # criterion gradient through the weighted backward pass, with the weights
-    # and lam derivative of the trainer's own criterion call
+    # the criterion gradient, with the weights and lam derivative of the
+    # trainer's own criterion call, and the plain mean-loss gradient (uniform
+    # weights): one backward pass on the (2, m) stack of their weight rows,
+    # the stacked path the convexity scan takes
     report = evaluate_criterion(losses, "anrat", params)
-    weight_err = rel_error(numeric, weighted_backward(model, batch, report.sample_weights, cache))
-
-    # plain mean-loss gradient (uniform weights) against the same oracle
     uniform = np.full(batch.size, 1.0 / batch.size)
-    weight_err = max(weight_err, rel_error(numeric_ce, weighted_backward(model, batch, uniform, cache)))
+    analytic, analytic_ce = weighted_backward(model, batch, np.stack([report.sample_weights, uniform]), cache)
+    weight_err = max(rel_error(numeric, analytic), rel_error(numeric_ce, analytic_ce))
 
     lam_err = rel_error(fd_lambda_gradient(losses, params), report.lambda_grad)
     return weight_err, lam_err

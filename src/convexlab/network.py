@@ -14,7 +14,9 @@ stacked model of K networks: `theta` (K, n), weights (K, d_out, d_in),
 biases (K, d_out).  `forward` and `batch_losses` run a stacked model
 through the same code as a single one, giving (K, m, d_L) outputs and a
 C-contiguous (K, m) loss array whose row k equals, bit for bit, the losses
-of network k alone.  The backward pass takes single models only.
+of network k alone.  The backward pass takes a single model, with an (m,)
+vector of sample weights or a (K, m) stack of weight rows; row k of a
+stack's (K, n) gradient equals, bit for bit, the call with row k alone.
 
 The backward pass takes the activation derivatives from the activations
 cached by `forward`.  Zero-weight rows still go through every product:
@@ -275,24 +277,25 @@ def _output_delta(cache: ForwardCache, targets, output_mode) -> np.ndarray:
 def weighted_backward(model: MlpModel, batch, weights, cache: ForwardCache | None = None) -> np.ndarray:
     """One batched backward pass computing sum_i w_i * grad_W(c_i) as an (n,)
     vector laid out like `theta`.  With w_i = 1/m this is the plain
-    mean-loss gradient.  The activation derivatives come from the cached
-    activations; rows with w_i = 0 are not skipped (see the module
-    docstring)."""
-    w_vec = np.asarray(weights, dtype=float)
-    if w_vec.shape != (batch.size,):
-        raise ValueError(f"weights must have shape ({batch.size},), got {w_vec.shape}")
-    if np.any(w_vec < 0):
+    mean-loss gradient.  A (K, m) stack of weight rows gives the (K, n)
+    stack of their gradients from the same pass; row k equals, bit for bit,
+    the call with weights[k] alone.  The activation derivatives come from
+    the cached activations; rows with w_i = 0 are not skipped (see the
+    module docstring)."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[-1] != batch.size:
+        raise ValueError(f"weights must have shape ({batch.size},) or (K, {batch.size}), got {w.shape}")
+    if np.any(w < 0):
         raise ValueError("sample weights must be nonnegative")
     if cache is None:
         cache = forward(model, batch.inputs)
 
-    delta = _output_delta(cache, batch.targets, model.output_mode)
-    delta *= w_vec[:, None]
-    grad = np.empty(model.param_count)
+    delta = _output_delta(cache, batch.targets, model.output_mode) * w[..., None]
+    grad = np.empty(w.shape[:-1] + (model.param_count,))
     grads_w, grads_b = _layer_views(grad, model.layer_dims)
     for k in range(model.num_layers - 1, -1, -1):
-        np.matmul(delta.T, cache.acts[k], out=grads_w[k])
-        delta.sum(axis=0, out=grads_b[k])
+        np.matmul(delta.swapaxes(-1, -2), cache.acts[k], out=grads_w[k])
+        delta.sum(axis=-2, out=grads_b[k])
         if k > 0:
             delta = delta @ model.weights[k]
             delta *= _activate_grad(cache.acts[k], model.activation)

@@ -699,12 +699,14 @@ class TestNumericRefusals:
          "point 0, box_radius 1.0, lambdas [1.0, 1e+308]: non-finite Hessian"),
         (["scan", "--net", "1,3,1", "--lambdas", "1,1e306", "--points", "20"],
          "box_radius 1.0, lambdas [1.0, 1e+306]: non-finite Hessian"),
+        (["scan", "--preset", "logistic", "--points", "20", "--box-radius", "20"],
+         "point 1, box_radius 20.0, lambdas [1.0, 2.0, 4.0, 8.0]: a loss sits at the clamp ceiling"),
         (["train", "--strategy", "ce", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
         (["gradcheck", "--seed", "-1", "--set", "gc_cases=2"], "seed must be >= 0, got -1"),
         (["scan", "--net", "1,3,1", "--seed", "-1"], "seed must be >= 0, got -1"),
     ], ids=["train-lambda-overflow", "gradcheck-lambda-overflow", "gradcheck-lambda-underflow",
             "gradcheck-penalty-overflow", "scan-lambda-overflow", "scan-huge-box", "scan-gauss-newton-overflow",
-            "scan-inf-hessian", "train-negative-seed", "gradcheck-negative-seed", "scan-negative-seed"])
+            "scan-inf-hessian", "scan-clamped-loss", "train-negative-seed", "gradcheck-negative-seed", "scan-negative-seed"])
     def test_exit_1_with_one_error_line(self, tmp_path, capsys, monkeypatch, argv, named):
         loads = []
         real_load = cli._load_datasets
@@ -716,6 +718,18 @@ class TestNumericRefusals:
         errors = [line for line in err.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1 and named in errors[0] and "Traceback" not in err
         assert loads == []
+        assert not (out / "run.resolved.cfg").exists()
+
+    def test_scan_non_finite_gradient_exit_1(self, tmp_path, capsys, monkeypatch):
+        def failing(model, batch, weights, cache=None):
+            raise FloatingPointError("non-finite gradient")
+
+        monkeypatch.setattr(convexity, "weighted_backward", failing)
+        out = tmp_path / "out"
+        assert run(["scan", "--net", "1,3,1", "--points", "2", "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: point 0, box_radius 1.0, lambdas [1.0, 2.0, 4.0, 8.0]: "
+                                    "non-finite gradient"]
         assert not (out / "run.resolved.cfg").exists()
 
 

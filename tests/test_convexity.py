@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import convexlab.convexity as convexity
-from convexlab.criteria import NumericDomainError
+from convexlab.criteria import CriterionParams, NumericDomainError, sample_weights
 from convexlab.convexity import (
     fd_hessian,
     psd_tolerance,
@@ -13,7 +13,8 @@ from convexlab.convexity import (
     write_scan_csvs,
 )
 from convexlab.data import SampleBatch, synthetic_regression
-from convexlab.network import batch_losses, forward, init_model, unflatten
+from convexlab.gradcheck import fd_gradient
+from convexlab.network import MAX_CLAMPED_LOSS, batch_losses, forward, init_model, unflatten
 from convexlab.seeds import rng_for
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "scan_1_3_1_summary.csv")
@@ -50,6 +51,31 @@ def recorded_scan(monkeypatch, *args, **kwargs):
         patch.setattr(np.linalg, "eigvalsh", eigensolve)
         scan = scan_convexity(*args, **kwargs)
     return scan, fd_parts, brackets
+
+
+def fd_of_loss_bracket(template, ds, lambdas, points, p=1, h=1e-4):
+    """The scan's brackets with the curvature taken from loss values instead
+    of the exact gradient: fd_hessian of W @ c and fd_gradient's per-sample
+    g_i, under the scan's own slack rule.  (min eigenvalues, slacks, spectral
+    radii), each (K+1, num_points), row 0 the base criterion."""
+    losses = losses_of(template, ds)
+    params = [CriterionParams(lam, p) for lam in lambdas]
+    scales = np.array([0.0] + [pr.scale for pr in params])
+    n = template.param_count
+    lows, tols, radii = [], [], []
+    for x in points:
+        c0 = losses(x)
+        weights = np.array([np.full(c0.size, 1.0 / c0.size)] + [sample_weights(c0, pr) for pr in params])
+        grads = fd_gradient(losses, x)
+        hess = fd_hessian(lambda v: weights @ losses(v), x, h)
+        fd_tol = psd_tolerance(hess)
+        hess += np.einsum("km,mi,mj->kij", scales[:, None] * weights, grads, grads)
+        eigs = np.linalg.eigvalsh(hess)
+        radius = np.abs(eigs[:, [0, -1]]).max(axis=1)
+        lows.append(eigs[:, 0])
+        tols.append(fd_tol + n * np.finfo(float).eps * radius)
+        radii.append(radius)
+    return np.array(lows).T, np.array(tols).T, np.array(radii).T
 
 
 def logistic_problem(seed=3):
@@ -170,6 +196,106 @@ class TestScan:
                 np.testing.assert_allclose(stack[k + 1][dominant], raw[dominant], rtol=1e-3)
                 compared += 1
         assert compared > 0
+
+    @pytest.mark.parametrize("net, preset, lambdas, num_points, seed", [
+        ((1, 3, 1), "", [1, 2, 4, 8, 16, 32], 60, 0),
+        ((1, 3, 1), "", [1, 2, 4, 8], 8, 0),
+        ((1, 3, 1), "", [1, 2, 4, 8], 50, 1),
+        ((1, 1), "logistic", [1, 8, 1e3, 1e6], 200, 0),
+    ], ids=["default", "golden", "seed-1", "logistic"])
+    def test_verdicts_match_the_fd_of_loss_bracket(self, net, preset, lambdas, num_points, seed):
+        # the curvature from FD of the exact gradient against FD of the loss:
+        # every verdict equal, and every min eigenvalue within 1e-6 of the
+        # oracle's relative to the bracket's norm, which bounds the error of
+        # any of its eigenvalues (the oracle's own FD error is ~1e-8 absolute)
+        template, ds = scan_problem(net, preset=preset)
+        scan = scan_convexity(template, ds, lambdas, num_points, box_radius=1.0, seed=seed)
+        lows, tols, radii = fd_of_loss_bracket(template, ds, lambdas, scan.points)
+        assert np.array_equal(scan.ce_psd, lows[0] >= -tols[0])
+        assert np.array_equal(scan.psd, lows[1:] >= -tols[1:])
+        got = np.vstack([scan.ce_min_eigs, scan.min_eigs])
+        err = np.abs(got - lows)
+        assert np.all(err <= 1e-6 * radii)
+
+    def test_large_rank_one_term_leaves_a_negative_direction_non_psd(self, monkeypatch):
+        # every per-sample gradient is g = 1e4 e_0 and every curvature row has
+        # -1e-3 along e_1, orthogonal to g: the bracket diag(lam * 1e8, -1e-3)
+        # is indefinite however large its Gauss-Newton term; a slack that grew
+        # with that term (1e-6 * (1 + max|B_ii|) = 1e5 at lam = 1e3) would call
+        # it PSD, while the eigensolver's n * eps * |B| is 2.2e-4
+        template, ds = scaled_sine_problem()
+        n = template.param_count
+        g = np.zeros(n)
+        g[0] = 1e4
+        curvature = np.zeros((n, n))
+        curvature[1, 1] = -1e-3
+
+        def weighted_backward(model, batch, weights, cache=None):
+            return np.asarray(weights).sum(axis=-1)[..., None] * g
+
+        def fd_gradient(objective, x, h):
+            return np.tile(curvature, (len(lambdas) + 1, 1))
+
+        lambdas = [1.0, 1e3]
+        monkeypatch.setattr(convexity, "weighted_backward", weighted_backward)
+        monkeypatch.setattr(convexity, "fd_gradient", fd_gradient)
+        scan = scan_convexity(template, ds, lambdas, num_points=3, box_radius=1.0, seed=0)
+        assert not scan.psd.any() and not scan.ce_psd.any()
+        np.testing.assert_allclose(scan.min_eigs, -1e-3, rtol=1e-9)
+        assert np.all(scan.psd_tol < 1e-3)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_clamped_loss_refused(self, label):
+        # z = w + b on inputs of 1: past |z| ~ 27.6 on the wrong side the
+        # PROB_EPS clamp flattens the loss, which the exact gradient does not
+        # see, so the first point with a clamped loss is refused by name
+        ds = SampleBatch(np.ones((4, 1)), np.full(4, label, dtype=np.int64))
+        template = init_model([1, 1], "sigmoid", "sigmoid-binary-ce", seed=0)
+        points = rng_for(1, "scan").uniform(-40.0, 40.0, size=(20, 2))
+        clamped = [losses_of(template, ds)(x).max() >= MAX_CLAMPED_LOSS for x in points]
+        j = clamped.index(True)
+        assert j > 0
+        with pytest.raises(NumericDomainError, match=rf"^point {j}, box_radius 40.0, lambdas \[1.0, 8.0\]: "
+                                                     r"a loss sits at the clamp ceiling 27\.631"):
+            scan_convexity(template, ds, [1.0, 8.0], num_points=20, box_radius=40.0, seed=1)
+        scan_convexity(template, ds, [1.0, 8.0], num_points=j, box_radius=40.0, seed=1)
+
+    def test_non_finite_gradient_names_the_point(self, monkeypatch):
+        template, ds = scaled_sine_problem()
+        backward = convexity.weighted_backward
+        calls = []
+
+        def failing_probe(model, batch, weights, cache=None):
+            calls.append(cache)
+            if cache is None:  # a Hessian probe: the per-sample pass reuses the centre's cache
+                raise FloatingPointError("non-finite gradient")
+            return backward(model, batch, weights, cache)
+
+        monkeypatch.setattr(convexity, "weighted_backward", failing_probe)
+        with pytest.raises(NumericDomainError, match=r"^point 0, box_radius 1.0, lambdas \[1.0, 2.0\]: "
+                                                     r"non-finite gradient$"):
+            scan_convexity(template, ds, [1, 2], num_points=2, box_radius=1.0, seed=0)
+        assert calls[0] is not None and calls[-1] is None
+
+    def test_per_sample_gradients_in_blocks(self, monkeypatch):
+        # the identity rows go SAMPLE_BLOCK at a time, so the stacked delta
+        # never holds m x m x d entries; the blocks change no bit
+        template, ds = scan_problem((1, 3, 1), samples=50)
+        full = scan_convexity(template, ds, [1, 4], num_points=3, box_radius=1.0, seed=0)
+        backward = convexity.weighted_backward
+        rows = []
+
+        def recording(model, batch, weights, cache=None):
+            if cache is not None:
+                rows.append(np.shape(weights))
+            return backward(model, batch, weights, cache)
+
+        monkeypatch.setattr(convexity, "SAMPLE_BLOCK", 16)
+        monkeypatch.setattr(convexity, "weighted_backward", recording)
+        blocked = scan_convexity(template, ds, [1, 4], num_points=3, box_radius=1.0, seed=0)
+        assert rows == [(16, 50), (16, 50), (16, 50), (2, 50)] * 3
+        for field in ("min_eigs", "ce_min_eigs", "psd", "ce_psd", "psd_tol", "ce_psd_tol"):
+            assert np.array_equal(getattr(blocked, field), getattr(full, field)), field
 
     def test_exp_overflow_lambda_stays_finite(self):
         # at lam = 100, s*max(c) is past 709, where exp overflows float64:

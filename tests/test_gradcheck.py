@@ -271,6 +271,21 @@ class TestCheckCase:
             # the unperturbed forward, then one stacked forward per block
             assert len(calls) == 1 + math.ceil(n / FD_BLOCK), case.describe()
 
+    def test_one_backward_on_a_two_row_stack(self, monkeypatch):
+        # the anrat and uniform rows go through the stacked path the scan
+        # takes; test_matches_two_pass_oracle holds each row to its own call
+        shapes = []
+        real_backward = gradcheck.weighted_backward
+
+        def recording(model, batch, weights, cache=None):
+            shapes.append((np.shape(weights), batch.size))
+            return real_backward(model, batch, weights, cache)
+        monkeypatch.setattr(gradcheck, "weighted_backward", recording)
+        for case in _cases(12, DEFAULT_LAMBDAS, DEFAULT_PS, 0):
+            shapes.clear()
+            check_case(case)
+            assert shapes == [((2, case.batch_size), case.batch_size)], case.describe()
+
     def test_stacked_model_wraps_probe_stack(self, monkeypatch):
         stacks, thetas = [], []
         real_fd, real_forward = gradcheck.fd_gradient, gradcheck.forward

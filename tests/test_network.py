@@ -219,8 +219,32 @@ class TestWeightedBackward:
 
     def test_length_mismatch(self):
         model, batch = self._setup("softmax-ce", 3)
-        with pytest.raises(ValueError):
-            weighted_backward(model, batch, np.ones(batch.size + 1))
+        m = batch.size
+        for bad in (np.ones(m + 1), np.ones((2, m + 1)), np.ones((2, 1, m)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=rf"weights must have shape \({m},\) or \(K, {m}\)"):
+                weighted_backward(model, batch, bad)
+        with pytest.raises(ValueError, match="sample weights must be nonnegative"):
+            weighted_backward(model, batch, np.array([np.full(m, 0.1), -np.full(m, 0.1)]))
+
+    @pytest.mark.parametrize("mode,out_dim", [
+        ("softmax-ce", 3), ("sigmoid-binary-ce", 1), ("identity-squared", 2),
+    ])
+    @pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+    def test_identity_rows_give_per_sample_gradients(self, mode, out_dim, act):
+        # the rows of the identity pick one sample each: row i is grad(c_i),
+        # checked against central differences of the per-sample loss vector
+        model, batch = self._setup(mode, out_dim, activation=act, m=7, seed=13)
+
+        def losses(stack):
+            mm = replace(model, theta=stack)
+            return batch_losses(forward(mm, batch.inputs).outputs, batch.targets, mm.output_mode)
+
+        per_sample = weighted_backward(model, batch, np.eye(batch.size))
+        assert per_sample.shape == (batch.size, model.param_count)
+        numeric = fd_gradient(losses, model.theta)
+        assert rel_error(numeric, per_sample) < 1e-6
+        for i, row in enumerate(per_sample):
+            assert rel_error(numeric[i], row) < 1e-5, i
 
     @pytest.mark.parametrize("mode,out_dim,act", [
         ("softmax-ce", 3, "tanh"),
@@ -365,6 +389,14 @@ class TestKernelsBitIdentical:
             assert np.count_nonzero(w) < m
             g = weighted_backward(model, batch, w, cache)
             assert np.array_equal(g, _all_rows_backward(model, batch, w, cache))
+        # a (K, m) stack: every row equals its own call bit for bit, a
+        # one-row stack included
+        rows = np.stack([sparse, one, tilted])
+        for stack in (rows, rows[2:], rows[1:2], np.eye(m)[::9]):
+            stacked = weighted_backward(model, batch, stack, cache)
+            assert stacked.shape == (len(stack), model.param_count)
+            for k, w in enumerate(stack):
+                assert stacked[k].tobytes() == weighted_backward(model, batch, w, cache).tobytes(), k
 
     def test_zero_weight_rows_equal_all_rows_oracle_at_desk_scale(self):
         rng = np.random.default_rng(8)
@@ -374,6 +406,11 @@ class TestKernelsBitIdentical:
         w = rng.uniform(0.0, 1.0, 100) * (rng.uniform(size=100) < 0.1)
         g = weighted_backward(model, batch, w, cache)
         assert np.array_equal(g, _all_rows_backward(model, batch, w, cache))
+        stack = np.stack([w, np.full(100, 0.01), np.eye(100)[37]])
+        stacked = weighted_backward(model, batch, stack, cache)
+        assert stacked[0].tobytes() == g.tobytes()
+        for k in (1, 2):
+            assert stacked[k].tobytes() == weighted_backward(model, batch, stack[k], cache).tobytes()
 
 
 class TestFlatten:
